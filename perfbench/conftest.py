@@ -1,0 +1,12 @@
+"""Lets the benchmark's own tests import it and the library from source.
+
+Run them from the repository root with ``python -m pytest perfbench``.
+"""
+
+import sys
+from pathlib import Path
+
+HERE = Path(__file__).resolve().parent
+for path in (HERE.parent / "src", HERE):
+    if str(path) not in sys.path:
+        sys.path.insert(0, str(path))
