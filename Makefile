@@ -3,7 +3,7 @@ PYTHONPATH := src
 
 export PYTHONPATH
 
-.PHONY: test test-slow fuzz-smoke fault-smoke fuzz fuzz-corpus corpus-replay corpus-minimize lint ruff verify-examples profile profile-json bench cache-smoke history report
+.PHONY: test test-slow fuzz-smoke fault-smoke fuzz fuzz-corpus corpus-replay corpus-minimize lint ruff verify-examples profile profile-json bench bench-smoke cache-smoke history report
 
 # Tier-1 suite (what CI runs).
 test:
@@ -86,6 +86,21 @@ profile-json:
 # Full perf harness; writes BENCH_dse.json (incl. stage breakdowns).
 bench:
 	$(PYTHON) benchmarks/perf/run_bench.py
+
+# Correctness smoke of the benchmark (perfbench/README.md): one short
+# run per workload at a fixed seed, which co-simulates every design it
+# synthesizes against references outside the synthesis path.  Fails
+# unless each run's last line reports "correct": true; no timing gate.
+BENCH_CHECK := import json, sys; r = json.loads(sys.stdin.read()); \
+	print({k: r[k] for k in ("correct", "attempted", "failed")}); \
+	sys.exit(r["correct"] is not True)
+bench-smoke:
+	@for workload in scale dse edit; do \
+		echo "perfbench $$workload"; \
+		$(PYTHON) perfbench/run.py --workload $$workload --seed 1 \
+			--seconds 1 --trace 0 | tail -n 1 \
+			| $(PYTHON) -c '$(BENCH_CHECK)' || exit 1; \
+	done
 
 # Run-ledger views (docs/observability.md).  Tune with e.g.
 # `make report LEDGER=.repro-ledger`.

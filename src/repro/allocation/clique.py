@@ -18,6 +18,7 @@ an exact minimum clique cover (exponential) is available for tests.
 
 from __future__ import annotations
 
+import heapq
 from itertools import combinations
 from typing import Hashable
 
@@ -27,37 +28,61 @@ from .base import Allocation, Allocator, FUInstance, ops_compatible
 from .lifetimes import compute_lifetimes
 
 
+def _common_count(adjacency: dict[Hashable, set[Hashable]],
+                  u: Hashable, v: Hashable) -> int:
+    """Number of common neighbours of ``u`` and ``v``."""
+    return len(adjacency[u] & adjacency[v])
+
+
 def clique_partition(graph: nx.Graph) -> list[set[Hashable]]:
     """Partition nodes into cliques (Tseng-Siewiorek greedy merging).
 
-    Nodes must be sortable for deterministic tie-breaking.  Returns
-    cliques sorted by their smallest member.
-    """
-    work = nx.Graph()
-    work.add_nodes_from(graph.nodes)
-    work.add_edges_from(graph.edges)
-    members: dict[Hashable, set[Hashable]] = {
-        node: {node} for node in work.nodes
-    }
+    Each step merges the edge with the most common neighbours, ties to
+    the smallest sorted pair.  Self-loops are ignored: a node always
+    shares hardware with itself.  Nodes must be sortable for
+    deterministic tie-breaking.  Returns cliques sorted by their
+    smallest member.
 
-    while work.number_of_edges() > 0:
-        best_pair = None
-        best_common = -1
-        for u, v in sorted(work.edges, key=lambda e: tuple(sorted(e))):
-            common = len(set(work[u]) & set(work[v]))
-            if common > best_common:
-                best_common = common
-                best_pair = tuple(sorted((u, v)))
-        assert best_pair is not None
-        u, v = best_pair
+    A merge only shrinks neighbourhoods, so common-neighbour counts
+    only fall.  The candidate edges therefore sit in a lazy max-heap
+    whose keys are upper bounds on their counts: a popped edge is
+    recounted, and if its key is still exact it is the greedy choice;
+    otherwise it goes back with the lower count.
+    """
+    adjacency: dict[Hashable, set[Hashable]] = {
+        node: set() for node in graph.nodes
+    }
+    for u, v in graph.edges:
+        if u != v:
+            adjacency[u].add(v)
+            adjacency[v].add(u)
+    members: dict[Hashable, set[Hashable]] = {
+        node: {node} for node in adjacency
+    }
+    heap: list[tuple[int, Hashable, Hashable]] = []
+    for u, neighbours in adjacency.items():
+        for v in neighbours:
+            if u < v:
+                heap.append((-_common_count(adjacency, u, v), u, v))
+    heapq.heapify(heap)
+
+    while heap:
+        key, u, v = heapq.heappop(heap)
+        if v not in adjacency.get(u, ()):
+            continue  # an endpoint was merged away or the edge dropped
+        common = _common_count(adjacency, u, v)
+        if common != -key:
+            heapq.heappush(heap, (-common, u, v))
+            continue
         # Merge v into u: u stays adjacent only to common neighbours,
         # so every member of the super-node remains pairwise adjacent.
-        common_neighbors = (set(work[u]) & set(work[v])) - {u, v}
+        shared = adjacency[u] & adjacency[v]
+        for neighbour in adjacency.pop(v):
+            adjacency[neighbour].discard(v)
+        for neighbour in adjacency[u] - shared:
+            adjacency[neighbour].discard(u)
+        adjacency[u] = shared
         members[u] |= members.pop(v)
-        work.remove_node(v)
-        for neighbor in list(work[u]):
-            if neighbor not in common_neighbors:
-                work.remove_edge(u, neighbor)
 
     return sorted(members.values(), key=lambda clique: sorted(clique)[0])
 

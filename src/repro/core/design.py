@@ -57,14 +57,14 @@ class SynthesizedDesign:
             for name, type_ in self.cdfg.variables.items()
         }
         for plan in self.plans.values():
+            results = {
+                op.result.id: op.result
+                for op in plan.block.ops if op.result is not None
+            }
             for value_id, storage in plan.storage_of.items():
                 if storage[0] != "tmp":
                     continue
-                value = None
-                for op in plan.block.ops:
-                    if op.result is not None and op.result.id == value_id:
-                        value = op.result
-                        break
+                value = results.get(value_id)
                 width = bit_width(value.type) if value is not None else 1
                 registers[storage] = max(registers.get(storage, 0), width)
         return registers

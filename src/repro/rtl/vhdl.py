@@ -42,6 +42,7 @@ class VHDLEmitter:
         if design.fsm is None:
             raise HLSError("design has no controller to emit")
         self._design = design
+        self._registers = design.storage_registers()
 
     # ------------------------------------------------------------------
 
@@ -84,7 +85,7 @@ class VHDLEmitter:
         state_names = ["S_IDLE"] + [f"S{s.id}" for s in fsm.states]
         out(f"  type state_t is ({', '.join(state_names)});")
         out("  signal state : state_t := S_IDLE;")
-        registers = design.storage_registers()
+        registers = self._registers
         for ref in sorted(registers, key=str):
             out(
                 f"  signal {_storage_name(ref)} : "
@@ -145,7 +146,7 @@ class VHDLEmitter:
 
         for latch in plan.latches_at(step):
             target_ref = latch.target
-            width = self._design.storage_registers()[target_ref]
+            width = self._registers[target_ref]
             source = self._value_expr(plan, latch.value, step)
             lines.append(
                 f"{_storage_name(target_ref)} <= "

@@ -16,19 +16,31 @@ step."
 Two execution strategies produce the identical schedule:
 
 * the **incremental** default — after each placement, time frames are
-  updated by propagating only from the newly pinned operation, and the
+  updated by propagating only from the newly pinned operation, the
   distribution graphs are delta-updated from the occupancy rows of the
-  operations whose frames actually moved;
+  operations whose frames actually moved, and only the placements
+  that read a changed input are rescored (see below);
 * the **reference** path (``_reference=True``) — the textbook loop
-  that recomputes every frame and rebuilds every distribution graph
-  from scratch after each placement.  It exists as the oracle for the
-  incremental path's regression tests.
+  that recomputes every frame, rebuilds every distribution graph and
+  rescores every pending operation after each placement.  It exists
+  as the oracle for the incremental path's regression tests.
 
 Exactness is what makes "identical" provable: distribution-graph
 entries are kept as integers scaled by ``lcm(1..deadline)`` (each op
 with a width-``k`` frame contributes ``scale/k`` per covered step), so
 graph contents never depend on the order updates were applied in.
-Both paths convert to floats the same way before force evaluation.
+Both paths convert to floats the same way and evaluate every self
+force with the one :meth:`ForceDirectedScheduler._self_force`
+expression, in its summation order.
+
+The incremental path keeps, for each pending op, its best
+``(force, op, step)`` and its self forces over sub-frames of its
+current frame.  An op's total forces read its own frame, the frames of
+its direct predecessors and successors, and the graph cells of each of
+their classes inside their occupancy windows ``[asap, alap + span -
+1]``.  So after a pin, an op is touched when its frame moved or a cell
+of its class changed inside its window; touched ops drop their self
+forces, and touched ops and their direct neighbours are rescored.
 """
 
 from __future__ import annotations
@@ -40,6 +52,9 @@ from ..errors import SchedulingError
 from ..obs import metrics
 from .base import Schedule, Scheduler, SchedulingProblem
 from .mobility import TimeFrames, compute_time_frames
+
+#: Per op: ``([(pred, offset)], [(succ, offset)])``.
+_Links = dict[int, tuple[list[tuple[int, int]], list[tuple[int, int]]]]
 
 
 def _frames_with_fixed(problem: SchedulingProblem, deadline: int,
@@ -110,6 +125,26 @@ def distribution_graph(problem: SchedulingProblem, frames: TimeFrames,
     return graph
 
 
+def _probability_row(first: int, last: int, span: int) -> dict[int, float]:
+    """Occupancy probabilities of a frame whose starts are equally
+    likely, keyed by step in ascending order.
+
+    ``row[s]`` adds ``1/width`` once per start in ``[first, last]`` that
+    keeps the op active in ``s``, left to right from ``0.0`` — the same
+    float sums as accumulating the row start by start.
+    """
+    share = 1.0 / (last - first + 1)
+    if span == 1:
+        return dict.fromkeys(range(first, last + 1), share)
+    sums = [0.0]
+    for _ in range(span):
+        sums.append(sums[-1] + share)
+    return {
+        s: sums[min(s, last) - max(s - span + 1, first) + 1]
+        for s in range(first, last + span)
+    }
+
+
 # ----------------------------------------------------------------------
 # Exact distribution-graph state
 # ----------------------------------------------------------------------
@@ -166,11 +201,12 @@ class _DistributionState:
             max(self.problem.delay(op_id), 1), self.deadline, self.scale,
         )
 
-    def refresh_op(self, op_id: int) -> None:
-        """Replace one op's contribution after its frame changed."""
+    def refresh_op(self, op_id: int) -> list[int]:
+        """Replace one op's contribution after its frame changed and
+        return the steps of its class's graph whose load changed."""
         old_row = self._rows.get(op_id)
         if old_row is None:  # free op: contributes nothing
-            return
+            return []
         cls = self.problem.op_class(op_id)
         assert cls is not None
         new_row = self._row_of(op_id)
@@ -180,6 +216,10 @@ class _DistributionState:
         for step, load in new_row.items():
             graph[step] += load
         self._rows[op_id] = new_row
+        return [
+            step for step in old_row.keys() | new_row.keys()
+            if old_row.get(step) != new_row.get(step)
+        ]
 
     def float_graphs(self) -> dict[str, list[float]]:
         """The graphs in HAL's 1/k units, for force evaluation."""
@@ -388,28 +428,91 @@ class ForceDirectedScheduler(Scheduler):
 
     def _schedule_incremental(self, deadline: int) -> Schedule:
         problem = self.problem
+        graph = problem.graph
         incremental = _IncrementalFrames(problem, deadline)
-        state = _DistributionState(problem, deadline,
-                                  incremental.frames)
+        frames = incremental.frames
+        state = _DistributionState(problem, deadline, frames)
+        graphs = state.float_graphs()
         pending = set(problem.compute_op_ids())
+        # Per op, keyed by sub-frame of its current frame: self forces,
+        # valid while the op's frame and the graph cells of its class
+        # inside its occupancy window stay put, and probability rows,
+        # valid while its frame stays put.
+        forces: dict[int, dict[tuple[int, int], float]] = {}
+        rows: dict[int, dict[tuple[int, int], dict[int, float]]] = {}
+
+        def self_force(op_id: int, first: int, last: int) -> float:
+            memo = forces.get(op_id)
+            if memo is None:
+                memo = forces[op_id] = {}
+            force = memo.get((first, last))
+            if force is None:
+                op_rows = rows.get(op_id)
+                if op_rows is None:
+                    op_rows = rows[op_id] = {}
+                force = memo[first, last] = self._self_force(
+                    problem, frames, graphs, op_id, first, last, op_rows,
+                )
+            return force
+
+        links = self._links()
+        best = {
+            op_id: self._best_placement(frames, links, op_id, self_force)
+            for op_id in pending
+        }
         while pending:
-            _, op_id, step = self._select(
-                incremental.frames, state.float_graphs(), pending
-            )
-            for moved in incremental.pin(op_id, step):
-                state.refresh_op(moved)
+            _, op_id, step = min(best.values())
             pending.discard(op_id)
-        return self._finish(incremental.fixed, incremental.frames)
+            del best[op_id]
+            moved = incremental.pin(op_id, step)
+            forces.pop(op_id, None)
+            rows.pop(op_id, None)
+            # Delta-update the graphs; note the changed cells per class.
+            changed: dict[str, int] = {}  # class -> bitmask of steps
+            for moved_id in moved:
+                rows.pop(moved_id, None)
+                steps = state.refresh_op(moved_id)
+                if not steps:
+                    continue
+                cls = problem.op_class(moved_id)
+                loads, floats = state.graphs[cls], graphs[cls]
+                mask = changed.get(cls, 0)
+                for s in steps:
+                    floats[s] = loads[s] / state.scale
+                    mask |= 1 << s
+                changed[cls] = mask
+            # Touched: ops whose own self forces read a changed input.
+            touched = set(moved)
+            if changed:
+                for other in pending:
+                    mask = changed.get(problem.op_class(other), 0)
+                    first = frames.asap[other]
+                    width = (frames.alap[other] - first
+                             + max(problem.delay(other), 1))
+                    if mask >> first & ((1 << width) - 1):
+                        touched.add(other)
+            # Rescore touched ops and every op that reads their forces.
+            dirty: set[int] = set()
+            for other in touched:
+                forces.pop(other, None)
+                dirty.add(other)
+                dirty.update(graph.predecessors(other))
+                dirty.update(graph.successors(other))
+            for other in dirty & pending:
+                best[other] = self._best_placement(frames, links, other,
+                                                   self_force)
+        return self._finish(incremental.fixed, frames)
 
     def _schedule_reference(self, deadline: int) -> Schedule:
         problem = self.problem
         fixed: dict[int, int] = {}
         pending = set(problem.compute_op_ids())
+        links = self._links()
         while pending:
             frames = _frames_with_fixed(problem, deadline, fixed)
             state = _DistributionState(problem, deadline, frames)
             _, op_id, step = self._select(
-                frames, state.float_graphs(), pending
+                frames, state.float_graphs(), links, pending
             )
             fixed[op_id] = step
             pending.discard(op_id)
@@ -417,24 +520,65 @@ class ForceDirectedScheduler(Scheduler):
         return self._finish(fixed, frames)
 
     def _select(self, frames: TimeFrames,
-                graphs: dict[str, list[float]],
+                graphs: dict[str, list[float]], links: _Links,
                 pending: set[int]) -> tuple[float, int, int]:
         """The placement minimizing total force, ties to the smallest
-        (op id, step)."""
+        (op id, step), rescoring every pending op."""
         problem = self.problem
-        best: tuple[float, int, int] | None = None
         # Frames are fixed for the duration of one selection sweep, so
         # the probability row of any (op, frame) pair is evaluated once
         # and shared across all candidate placements that touch it.
-        probs_memo: dict[tuple[int, int, int], dict[int, float]] = {}
-        for op_id in sorted(pending):
-            for step in frames.frame(op_id):
-                force = self._total_force(
-                    problem, frames, graphs, op_id, step, probs_memo
-                )
-                key = (force, op_id, step)
-                if best is None or key < best:
-                    best = key
+        rows: dict[int, dict[tuple[int, int], dict[int, float]]] = {}
+
+        def self_force(op_id: int, first: int, last: int) -> float:
+            return self._self_force(problem, frames, graphs, op_id,
+                                    first, last, rows.setdefault(op_id, {}))
+
+        return min(
+            self._best_placement(frames, links, op_id, self_force)
+            for op_id in sorted(pending)
+        )
+
+    def _links(self) -> _Links:
+        """Per compute op: its (predecessor, offset) and (successor,
+        offset) dependence edges, in graph order."""
+        problem = self.problem
+        graph = problem.graph
+        return {
+            op_id: (
+                [(pred, problem.edge_offset(pred, op_id))
+                 for pred in graph.predecessors(op_id)],
+                [(succ, problem.edge_offset(op_id, succ))
+                 for succ in graph.successors(op_id)],
+            )
+            for op_id in problem.compute_op_ids()
+        }
+
+    def _best_placement(self, frames: TimeFrames, links: _Links,
+                        op_id: int, self_force) -> tuple[float, int, int]:
+        """``op_id``'s placement minimizing total force, ties to the
+        smallest step, as a ``(force, op id, step)`` key.
+
+        The total force of a step is the op's self force plus the
+        implied forces on the direct predecessors and successors whose
+        frames it cuts; ``self_force(op, first, last)`` is
+        :meth:`_self_force` over the current frames and graphs,
+        possibly memoized.
+        """
+        preds, succs = links[op_id]
+        asap, alap = frames.asap, frames.alap
+        best: tuple[float, int, int] | None = None
+        for step in range(asap[op_id], alap[op_id] + 1):
+            force = self_force(op_id, step, step)
+            for pred, offset in preds:
+                if step - offset < alap[pred]:
+                    force += self_force(pred, asap[pred], step - offset)
+            for succ, offset in succs:
+                if step + offset > asap[succ]:
+                    force += self_force(succ, step + offset, alap[succ])
+            key = (force, op_id, step)
+            if best is None or key < best:
+                best = key
         assert best is not None
         return best
 
@@ -449,71 +593,36 @@ class ForceDirectedScheduler(Scheduler):
 
     # ------------------------------------------------------------------
 
-    def _total_force(self, problem: SchedulingProblem, frames: TimeFrames,
-                     graphs: dict[str, list[float]], op_id: int,
-                     step: int,
-                     probs_memo: dict[tuple[int, int, int],
-                                      dict[int, float]] | None = None,
-                     ) -> float:
-        """Self force of pinning ``op_id`` at ``step`` plus the implied
-        forces on its direct predecessors and successors."""
-        force = self._self_force(problem, frames, graphs, op_id,
-                                 step, step, probs_memo)
-        for pred in problem.graph.predecessors(op_id):
-            offset = problem.edge_offset(pred, op_id)
-            new_last = min(frames.alap[pred], step - offset)
-            if new_last < frames.alap[pred]:
-                force += self._self_force(
-                    problem, frames, graphs, pred,
-                    frames.asap[pred], new_last, probs_memo,
-                )
-        for succ in problem.graph.successors(op_id):
-            offset = problem.edge_offset(op_id, succ)
-            new_first = max(frames.asap[succ], step + offset)
-            if new_first > frames.asap[succ]:
-                force += self._self_force(
-                    problem, frames, graphs, succ,
-                    new_first, frames.alap[succ], probs_memo,
-                )
-        return force
-
     def _self_force(self, problem: SchedulingProblem, frames: TimeFrames,
                     graphs: dict[str, list[float]], op_id: int,
                     new_first: int, new_last: int,
-                    probs_memo: dict[tuple[int, int, int],
-                                     dict[int, float]] | None = None,
+                    rows: dict[tuple[int, int], dict[int, float]],
                     ) -> float:
         """Change in (DG-weighted) expected load if the op's frame
-        shrinks from its current range to ``[new_first, new_last]``."""
+        shrinks from its current range to ``[new_first, new_last]``.
+
+        ``rows`` memoizes this op's probability rows by frame."""
         cls = problem.op_class(op_id)
         if cls is None:
             return 0.0
         graph = graphs[cls]
-        delay = problem.delay(op_id)
-        span = max(delay, 1)
-        old_first, old_last = frames.asap[op_id], frames.alap[op_id]
+        span = max(problem.delay(op_id), 1)
 
         def probabilities(first: int, last: int) -> dict[int, float]:
-            key = (op_id, first, last)
-            if probs_memo is not None:
-                cached = probs_memo.get(key)
-                if cached is not None:
-                    return cached
-            width = last - first + 1
-            probs: dict[int, float] = {}
-            for t in range(first, last + 1):
-                for s in range(t, t + span):
-                    probs[s] = probs.get(s, 0.0) + 1.0 / width
-            if probs_memo is not None:
-                probs_memo[key] = probs
+            probs = rows.get((first, last))
+            if probs is None:
+                probs = rows[first, last] = _probability_row(first, last,
+                                                             span)
             return probs
 
-        old_probs = probabilities(old_first, old_last)
+        old_probs = probabilities(frames.asap[op_id], frames.alap[op_id])
         new_probs = probabilities(new_first, new_last)
+        # Summation order is part of the result: both scheduling paths
+        # must add the same terms in the same (set iteration) order.
+        size = len(graph)
+        new_get, old_get = new_probs.get, old_probs.get
         force = 0.0
         for s in set(old_probs) | set(new_probs):
-            if s < len(graph):
-                force += graph[s] * (
-                    new_probs.get(s, 0.0) - old_probs.get(s, 0.0)
-                )
+            if s < size:
+                force += graph[s] * (new_get(s, 0.0) - old_get(s, 0.0))
         return force

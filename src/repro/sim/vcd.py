@@ -60,13 +60,13 @@ def write_vcd(design: SynthesizedDesign,
             "and run it first"
         )
     cdfg = design.cdfg
-    registers = sorted(design.storage_registers(), key=str)
+    widths = design.storage_registers()
+    registers = sorted(widths, key=str)
 
     def type_of(ref: tuple):
         if ref[0] == "var":
             return cdfg.variables[ref[1]]
-        width = design.storage_registers()[ref]
-        return IntType(max(width, 1), signed=False)
+        return IntType(max(widths[ref], 1), signed=False)
 
     state_bits = max(design.state_count.bit_length(), 1)
 
@@ -82,8 +82,7 @@ def write_vcd(design: SynthesizedDesign,
     for index, ref in enumerate(registers, start=1):
         identifier = _identifier(index)
         identifiers[ref] = identifier
-        width = design.storage_registers()[ref]
-        out(f"$var wire {width} {identifier} {_signal_name(ref)} $end")
+        out(f"$var wire {widths[ref]} {identifier} {_signal_name(ref)} $end")
     out("$upscope $end")
     out("$enddefinitions $end")
 
