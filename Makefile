@@ -91,9 +91,18 @@ bench:
 # run per workload at a fixed seed, which co-simulates every design it
 # synthesizes against references outside the synthesis path.  Fails
 # unless each run's last line reports "correct": true; no timing gate.
+# A traced dse run follows: the tracer wraps the allocators, the
+# datapath planner and the other layer entry points, so it must still
+# run clean and report every per-layer metric BENCHMARK.json declares.
 BENCH_CHECK := import json, sys; r = json.loads(sys.stdin.read()); \
 	print({k: r[k] for k in ("correct", "attempted", "failed")}); \
 	sys.exit(r["correct"] is not True)
+BENCH_TRACE_CHECK := import json, sys; r = json.loads(sys.stdin.read()); \
+	declared = json.load(open("BENCHMARK.json"))["per_layer"]; \
+	missing = [m["name"] for m in declared \
+		if m["name"] not in r["metrics"]]; \
+	print({"correct": r["correct"], "missing": missing}); \
+	sys.exit(r["correct"] is not True or bool(missing))
 bench-smoke:
 	@for workload in scale dse edit; do \
 		echo "perfbench $$workload"; \
@@ -101,6 +110,9 @@ bench-smoke:
 			--seconds 1 --trace 0 | tail -n 1 \
 			| $(PYTHON) -c '$(BENCH_CHECK)' || exit 1; \
 	done
+	@echo "perfbench dse --trace 1"
+	@$(PYTHON) perfbench/run.py --workload dse --seed 1 --seconds 1 \
+		--trace 1 | tail -n 1 | $(PYTHON) -c '$(BENCH_TRACE_CHECK)'
 
 # Run-ledger views (docs/observability.md).  Tune with e.g.
 # `make report LEDGER=.repro-ledger`.

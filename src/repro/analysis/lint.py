@@ -47,7 +47,7 @@ from ..ir.types import FixedType, IntType, bit_width, is_scalar
 from .cfg import build_cfg
 from .constants import constant_lattice, evaluated_conditions
 from .diagnostics import Diagnostic, DiagnosticSink
-from .liveness import live_out_variables, variable_liveness
+from .liveness import region_live_out, variable_liveness
 from .ranges import Interval, fits_type, range_analysis, type_interval
 from .reaching import UNINIT, def_use_chains
 
@@ -457,11 +457,14 @@ def lint_design(design, sink: DiagnosticSink) -> None:
                 )
 
     # alloc.register-overlap / net.width-mismatch (carried values) ----
+    # One solve per design, independent of the engine's hand-off.
+    liveness = variable_liveness(cdfg)
     for allocation in design.allocations.values():
         schedule = allocation.schedule
         label = schedule.problem.label
-        lifetimes = compute_lifetimes(schedule,
-                                      live_out_variables(schedule))
+        lifetimes = compute_lifetimes(
+            schedule, region_live_out(schedule.problem.ops, liveness)
+        )
         by_register: dict[int, list] = {}
         for lifetime in lifetimes:
             register = allocation.register_map.get(lifetime.value.id)

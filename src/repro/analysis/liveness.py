@@ -5,22 +5,37 @@ The IR's arc-per-value form makes the block-local transfer trivial:
 ops are exactly the downward-exposed definitions (the frontend renames
 everything in between), so ``live_in = reads ∪ (live_out − writes)``.
 
-Consumers:
+Where it is solved:
 
-* the dead-store lint (a ``VAR_WRITE`` whose variable is not live out
-  of its block);
-* register lifetime analysis (:mod:`repro.allocation.lifetimes`): a
-  value written to a variable only needs to survive the block when the
-  variable is live out of it.
+* once per synthesis, by the engine (:mod:`repro.core.engine`), after
+  the transforms; the CDFG is only read from there on.  Each block's
+  live-out set rides on its
+  :class:`~repro.scheduling.SchedulingProblem` (``problem.live_out``)
+  to the per-block consumers, which read it through
+  :func:`live_out_variables`: register lifetime analysis
+  (:mod:`repro.allocation.lifetimes` — a value written to a variable
+  only needs to survive the block when the variable is live out of it)
+  in left-edge allocation and the allocators it seeds, the allocation
+  checker (:meth:`~repro.allocation.Allocation.validate`) and datapath
+  planning (:func:`~repro.datapath.plan.plan_block`);
+* once per design, by the stage contracts (:mod:`repro.verify`) and
+  the design linter (:func:`repro.analysis.lint.lint_design`), which
+  index their own solve with :func:`region_live_out` and never read the
+  hand-off, so they stay an independent check of it;
+* once per CDFG by the dead-store lint (a ``VAR_WRITE`` whose variable
+  is not live out of its block);
+* per call, for problems built outside the engine (hand-built
+  fixtures, Sehwa's pipelined regions), by :func:`live_out_variables`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterable
 
 from ..ir.cdfg import CDFG
 from ..ir.opcodes import OpKind
-from ..ir.values import BasicBlock
+from ..ir.values import BasicBlock, Operation
 from .cfg import ControlFlowGraph, build_cfg
 from .dataflow import SetUnionAnalysis, solve
 
@@ -78,23 +93,44 @@ def variable_liveness(cdfg: CDFG,
     return LivenessResult(live_in, live_out)
 
 
-def live_out_variables(schedule) -> frozenset[str] | None:
-    """Variables live out of the block(s) a schedule covers.
+def region_live_out(ops: Iterable[Operation],
+                    liveness: LivenessResult | None = None,
+                    ) -> frozenset[str] | None:
+    """Variables live out of the block(s) ``ops`` belong to.
 
-    Returns None when the scheduled ops belong to blocks outside their
-    CDFG's region tree (hand-built test fixtures), in which case the
-    caller must assume every written variable is live — the
-    conservative pre-analysis behaviour.
+    Returns None when the ops belong to blocks outside their CDFG's
+    region tree (hand-built test fixtures), in which case the caller
+    must assume every written variable is live — the conservative
+    pre-analysis behaviour.
+
+    Args:
+        ops: the operations of one scheduling region.
+        liveness: a solve of the ops' CDFG to index; when omitted the
+            whole procedure is solved here.
     """
-    blocks = {op.block for op in schedule.problem.ops}
+    blocks = {op.block for op in ops}
     if not blocks:
         return None
     cdfg = next(iter(blocks)).cdfg
     attached = {block.id for block in cdfg.blocks()}
     if any(block.id not in attached for block in blocks):
         return None
-    liveness = variable_liveness(cdfg)
+    if liveness is None:
+        liveness = variable_liveness(cdfg)
     live: frozenset[str] = frozenset()
     for block in blocks:
         live |= liveness.live_out[block.id]
     return live
+
+
+def live_out_variables(schedule) -> frozenset[str] | None:
+    """Variables live out of the block(s) a schedule covers.
+
+    Reads the set the engine handed over on the schedule's problem;
+    problems built outside the engine carry none, and get it from a
+    whole-procedure solve (:func:`region_live_out`).
+    """
+    problem = schedule.problem
+    if problem.live_out is not None:
+        return problem.live_out
+    return region_live_out(problem.ops)

@@ -22,6 +22,7 @@ from ..allocation import (
     LeftEdgeRegisterAllocator,
     RuleBasedAllocator,
 )
+from ..analysis.liveness import variable_liveness
 from ..binding import ComponentLibrary, ModuleBinder
 from ..controller.fsm import synthesize_fsm
 from ..datapath.plan import plan_block
@@ -463,6 +464,10 @@ def _synthesize_cdfg(cdfg: CDFG, options: SynthesisOptions,
         log=log,
     )
     conditions = _region_condition_values(cdfg)
+    # The CDFG is only read from here on, so one solve serves every
+    # block: its live-out set rides on the block's problem to the
+    # allocator, the allocation checker and the datapath planner.
+    liveness = variable_liveness(cdfg)
 
     bindings = []
     binder = ModuleBinder(options.library)
@@ -477,6 +482,7 @@ def _synthesize_cdfg(cdfg: CDFG, options: SynthesisOptions,
             problem = base_problem.with_constraints(constraints)
         else:
             problem = SchedulingProblem.from_block(block, model, constraints)
+        problem.live_out = liveness.live_out[block.id]
         schedule = None
         replayed = False
         hint = (schedule_hints.get(block.name)

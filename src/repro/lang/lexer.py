@@ -104,7 +104,7 @@ class Lexer:
             return Token(TokenKind.EOF, "", location)
         if char.isalpha() or char == "_":
             return self._identifier(location)
-        if char.isdigit():
+        if char.isdecimal():
             return self._number(location)
         two = char + self._peek(1)
         if two in _TWO_CHAR:
@@ -125,13 +125,13 @@ class Lexer:
 
     def _number(self, location: SourceLocation) -> Token:
         start = self._pos
-        while self._peek().isdigit():
+        while self._peek().isdecimal():
             self._advance()
         is_real = False
-        if self._peek() == "." and self._peek(1).isdigit():
+        if self._peek() == "." and self._peek(1).isdecimal():
             is_real = True
             self._advance()
-            while self._peek().isdigit():
+            while self._peek().isdecimal():
                 self._advance()
         text = self._source[start:self._pos]
         kind = TokenKind.REAL if is_real else TokenKind.INT

@@ -31,7 +31,9 @@ comparisons; ``+ - | ^``; ``* / mod & << >>``; unary ``- ~``; primary.
 
 from __future__ import annotations
 
-from ..errors import ParseError
+import math
+
+from ..errors import ParseError, SemanticError
 from ..ir.types import ArrayType, FixedType, IntType, Type
 from . import ast
 from .lexer import tokenize
@@ -61,6 +63,26 @@ _MULTIPLICATIVE = {
     TokenKind.SHL: "<<",
     TokenKind.SHR: ">>",
 }
+
+
+def _int_value(token: Token) -> int:
+    """The value of an INT token (CPython caps int() at 4300 digits)."""
+    try:
+        return int(token.text)
+    except ValueError:
+        raise ParseError(
+            f"integer literal of {len(token.text)} digits is too long",
+            token.location,
+        ) from None
+
+
+def _checked_type(token: Token, constructor, *args, **kwargs) -> Type:
+    """``constructor(*args, **kwargs)``, its parameter checks reported
+    as a :class:`SemanticError` at ``token``."""
+    try:
+        return constructor(*args, **kwargs)
+    except ValueError as error:
+        raise SemanticError(str(error), token.location) from None
 
 
 class Parser:
@@ -166,26 +188,34 @@ class Parser:
         token = self._advance()
         if token.kind in (TokenKind.INT_TYPE, TokenKind.UINT_TYPE):
             self._expect(TokenKind.LT)
-            width = int(self._expect(TokenKind.INT).text)
+            width = self._parse_int()
             self._expect(TokenKind.GT)
-            base: Type = IntType(width, signed=token.kind is TokenKind.INT_TYPE)
+            base: Type = _checked_type(
+                token, IntType, width,
+                signed=token.kind is TokenKind.INT_TYPE,
+            )
         elif token.kind in (TokenKind.FIXED_TYPE, TokenKind.UFIXED_TYPE):
             self._expect(TokenKind.LT)
-            width = int(self._expect(TokenKind.INT).text)
+            width = self._parse_int()
             self._expect(TokenKind.COMMA)
-            frac = int(self._expect(TokenKind.INT).text)
+            frac = self._parse_int()
             self._expect(TokenKind.GT)
-            base = FixedType(
-                width, frac, signed=token.kind is TokenKind.FIXED_TYPE
+            base = _checked_type(
+                token, FixedType, width, frac,
+                signed=token.kind is TokenKind.FIXED_TYPE,
             )
         else:
             raise ParseError(f"expected a type, found {token.text!r}",
                              token.location)
         if self._accept(TokenKind.LBRACKET):
-            length = int(self._expect(TokenKind.INT).text)
+            length = self._expect(TokenKind.INT)
             self._expect(TokenKind.RBRACKET)
-            return ArrayType(base, length)
+            return _checked_type(length, ArrayType, base,
+                                 _int_value(length))
         return base
+
+    def _parse_int(self) -> int:
+        return _int_value(self._expect(TokenKind.INT))
 
     # ------------------------------------------------------------------
     # Statements
@@ -363,9 +393,13 @@ class Parser:
     def _parse_primary(self) -> ast.Expr:
         token = self._advance()
         if token.kind is TokenKind.INT:
-            return ast.IntLiteral(token.location, int(token.text))
+            return ast.IntLiteral(token.location, _int_value(token))
         if token.kind is TokenKind.REAL:
-            return ast.RealLiteral(token.location, float(token.text))
+            value = float(token.text)
+            if math.isinf(value):
+                raise ParseError("real literal out of range",
+                                 token.location)
+            return ast.RealLiteral(token.location, value)
         if token.kind is TokenKind.IDENT:
             if self._accept(TokenKind.LBRACKET):
                 index = self.parse_expr()

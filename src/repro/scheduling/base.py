@@ -325,6 +325,10 @@ class SchedulingProblem:
     and classes, per-edge offsets, critical path) are memoized.  The
     cached topological order is shared — treat the returned list as
     immutable.
+
+    ``live_out`` holds the variables live out of the region when the
+    synthesis engine has solved liveness for its CDFG (None otherwise);
+    :func:`repro.analysis.liveness.live_out_variables` reads it.
     """
 
     def __init__(self, ops: list[Operation], model: ResourceModel,
@@ -348,6 +352,7 @@ class SchedulingProblem:
         self._occupancy_cache: dict[int, int] = {}
         self._class_cache: dict[int, str | None] = {}
         self._offset_cache: dict[tuple[int, int], int] = {}
+        self.live_out: frozenset[str] | None = None
         self._fold_min_offsets()
 
     def _fold_min_offsets(self) -> None:
@@ -401,11 +406,11 @@ class SchedulingProblem:
     ) -> "SchedulingProblem":
         """A problem over the same region under different constraints.
 
-        Shares the dependence graph and every structure-derived memo
-        with the original (none of them depend on the constraints);
-        design-space exploration uses this to rescore one region under
-        many budgets without rebuilding it.  The shared graph must be
-        treated as immutable.
+        Shares the dependence graph, every structure-derived memo and
+        the live-out set with the original (none of them depend on the
+        constraints); design-space exploration uses this to rescore one
+        region under many budgets without rebuilding it.  The shared
+        graph must be treated as immutable.
         """
         clone = object.__new__(SchedulingProblem)
         clone.ops = self.ops
@@ -428,6 +433,7 @@ class SchedulingProblem:
         clone._occupancy_cache = self._occupancy_cache
         clone._class_cache = self._class_cache
         clone._offset_cache = self._offset_cache
+        clone.live_out = self.live_out
         return clone
 
     # Queries -----------------------------------------------------------

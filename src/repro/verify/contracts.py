@@ -37,7 +37,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING
 
 from ..allocation.lifetimes import compute_lifetimes
-from ..analysis.liveness import live_out_variables
+from ..analysis.liveness import region_live_out, variable_liveness
 from ..ir.opcodes import OpKind
 from ..ir.types import bit_width
 from ..obs import metrics, trace_span
@@ -149,6 +149,9 @@ def check_schedule(design: "SynthesizedDesign") -> list[Violation]:
 def check_allocation(design: "SynthesizedDesign") -> list[Violation]:
     """Allocation-stage contract: FU shares and register shares."""
     violations: list[Violation] = []
+    # Solved here, not read from the engine's hand-off on each problem,
+    # so the contract stays an independent check of it.
+    liveness = variable_liveness(design.cdfg)
     for block_id in sorted(design.allocations):
         allocation = design.allocations[block_id]
         schedule = allocation.schedule
@@ -202,8 +205,9 @@ def check_allocation(design: "SynthesizedDesign") -> list[Violation]:
         # dead variable (e.g. an unrolled loop counter) never leaves the
         # block and legitimately has no register — the conservative
         # no-live-out model would flag it as register-missing.
-        lifetimes = compute_lifetimes(schedule,
-                                      live_out_variables(schedule))
+        lifetimes = compute_lifetimes(
+            schedule, region_live_out(problem.ops, liveness)
+        )
         for lifetime in lifetimes:
             if lifetime.value.id not in allocation.register_map:
                 violations.append(Violation(

@@ -371,3 +371,38 @@ begin
   if not a then b := 1;
 end
 """)
+
+
+DECLARED = """
+procedure p(input a: int<8>; output b: fixed<16,8>);
+var m: {type};
+begin
+  b := {literal};
+end
+"""
+
+
+@pytest.mark.parametrize("declared,literal,error", [
+    ("int<0>", "1", SemanticError),
+    ("fixed<4,8>", "1", SemanticError),
+    ("int<8>[0]", "1", SemanticError),
+    ("int<8>", "\N{SUPERSCRIPT TWO}", LexError),
+    ("int<8>", "9" * 4301, ParseError),
+    ("int<8>", "1" + "0" * 400 + ".5", ParseError),
+], ids=["zero-width", "frac-over-width", "empty-array", "superscript",
+        "int-string-limit", "real-overflow"])
+def test_invalid_inputs_raise_located_frontend_errors(declared, literal,
+                                                      error):
+    from repro import synthesize
+
+    source = DECLARED.format(type=declared, literal=literal)
+    with pytest.raises(error) as raised:
+        synthesize(source)
+    assert raised.value.location is not None
+
+
+def test_non_ascii_decimal_digits_still_lex():
+    # Every character str.isdecimal() accepts converts with int().
+    tokens = tokenize("\N{ARABIC-INDIC DIGIT THREE}2")
+    assert tokens[0].kind is TokenKind.INT
+    assert int(tokens[0].text) == 32
