@@ -83,7 +83,7 @@ profile:
 profile-json:
 	$(PYTHON) -m repro profile examples/sqrt.hls --fu 2 --format json
 
-# Full perf harness; writes BENCH_dse.json (incl. stage breakdowns).
+# Full perf harness; writes BENCH_dse.json (store, narrow, directives).
 bench:
 	$(PYTHON) benchmarks/perf/run_bench.py
 

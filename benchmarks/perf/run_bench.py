@@ -1,13 +1,14 @@
-"""Performance harness for the DSE fast path and the schedulers.
+"""Performance harness for the design store, datapath narrowing and
+directive DSE.
 
-Times the *seed* implementation strategy (recompile per point, no
-memoization, full-recompute force-directed loop) against the current
-fast path (compile-once + shared scheduling structure + synthesis and
-measurement caches; incremental force-directed frames) on the same
-workloads, and writes the numbers to ``BENCH_dse.json`` at the repo
-root.  Every comparison also checks that the two paths produce
-identical results — a speedup that changes answers is a bug, not a
-win.
+Times cross-process store reuse, one-block incremental resynthesis,
+range narrowing of diffeq and the directive-space funnel, and writes
+the numbers to ``BENCH_dse.json`` at the repo root.  Every row also
+checks that the fast side produces the same results as the slow side
+(``equivalent``) — a speedup that changes answers is a bug, not a
+win.  Per-stage and per-scheduler timings live elsewhere:
+``repro profile`` prints the per-stage table, and ``perfbench/``
+times every layer end to end.
 
 Run it directly::
 
@@ -33,43 +34,22 @@ import tempfile
 import time
 from pathlib import Path
 
-from repro import obs
 from repro.obs import ledger as run_ledger
 from repro.core import clear_synthesis_cache, resynthesize, synthesize
-from repro.core.engine import SynthesisOptions, synthesize_cdfg
-from repro.estimation import estimate_area, estimate_timing
-from repro.explore import explore_fu_range, search_for_latency
+from repro.core.engine import SynthesisOptions
+from repro.estimation import estimate_area
+from repro.explore import explore_fu_range
 from repro.explore.dse import measure_cycles
-from repro.lang import compile_source
-from repro.scheduling import (
-    ForceDirectedScheduler,
-    ListScheduler,
-    ResourceConstraints,
-    SchedulingProblem,
-    TypedFUModel,
-    UniversalFUModel,
-    set_problem_caching,
-)
-from repro.ir.types import set_type_interning
-from repro.transforms import optimize
-from repro.workloads import ewf_cdfg, fig5_cdfg, fir_source
+from repro.scheduling import ResourceConstraints
 from repro.workloads.diffeq import DIFFEQ_SOURCE
-from repro.workloads.random_dfg import RandomDFGSpec, random_dfg
-from repro.workloads.sqrt import SQRT_SOURCE
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
 OUTPUT = REPO_ROOT / "BENCH_dse.json"
 STORE_WORKER = Path(__file__).resolve().with_name("_store_worker.py")
 
 BUDGETS = {
-    "smoke": {"repeats": 1, "diffeq_limits": 4, "sqrt_limits": 3,
-              "random_ops": 30, "search_max_units": 8,
-              "store_limits": 4, "fir_taps": 16,
-              "directive_limits": 3},
-    "full": {"repeats": 5, "diffeq_limits": 8, "sqrt_limits": 6,
-             "random_ops": 60, "search_max_units": 16,
-             "store_limits": 8, "fir_taps": 32,
-             "directive_limits": 4},
+    "smoke": {"repeats": 1, "store_limits": 4, "directive_limits": 3},
+    "full": {"repeats": 5, "store_limits": 8, "directive_limits": 4},
 }
 
 
@@ -82,59 +62,6 @@ def _best_of(fn, repeats: int) -> float:
     return best
 
 
-def _point_rows(points) -> list[tuple]:
-    return [
-        (str(p.constraints), p.area, p.cycles, p.clock_ns) for p in points
-    ]
-
-
-# ----------------------------------------------------------------------
-# Seed replicas: what the code did before the fast path existed.
-
-def _seed_point(source: str, limit: int) -> tuple:
-    cdfg = compile_source(source)
-    options = SynthesisOptions(
-        constraints=ResourceConstraints({"fu": limit})
-    )
-    design = synthesize_cdfg(cdfg, options)
-    cycles = measure_cycles(design, None)
-    timing = estimate_timing(design, cycles)
-    return (str(options.constraints), estimate_area(design).total,
-            cycles, timing.clock_ns)
-
-
-def _seed_sweep(source: str, limits: list[int]) -> list[tuple]:
-    return [_seed_point(source, limit) for limit in limits]
-
-
-def _seed_search(source: str, target_cycles: int,
-                 max_units: int) -> tuple | None:
-    low, high = 1, max_units
-    ceiling = _seed_point(source, high)
-    if ceiling[2] > target_cycles:
-        return None
-    best = ceiling
-    while low < high:
-        middle = (low + high) // 2
-        point = _seed_point(source, middle)
-        if point[2] <= target_cycles:
-            best, high = point, middle
-        else:
-            low = middle + 1
-    return best
-
-
-def _as_seed(fn):
-    """Run ``fn`` with every post-seed cache disabled."""
-    def wrapped():
-        previous = set_problem_caching(False)
-        try:
-            return fn()
-        finally:
-            set_problem_caching(previous)
-    return wrapped
-
-
 def _fresh(fn):
     """Run ``fn`` against a cold synthesis cache (each repeat must do
     real work, not replay the previous repeat)."""
@@ -142,143 +69,6 @@ def _fresh(fn):
         clear_synthesis_cache()
         return fn()
     return wrapped
-
-
-# ----------------------------------------------------------------------
-# Benchmarks.
-
-def _bench_sweep(name: str, source: str, limits: list[int],
-                 repeats: int) -> dict:
-    baseline_rows = _seed_sweep(source, limits)
-    new_rows = _point_rows(
-        _fresh(lambda: explore_fu_range(source, limits))().points
-    )
-    baseline_s = _best_of(
-        _as_seed(lambda: _seed_sweep(source, limits)), repeats
-    )
-    new_s = _best_of(
-        _fresh(lambda: explore_fu_range(source, limits)), repeats
-    )
-    return {
-        "workload": name,
-        "points": len(limits),
-        "baseline_s": baseline_s,
-        "new_s": new_s,
-        "speedup": baseline_s / new_s,
-        "equivalent": baseline_rows == new_rows,
-    }
-
-
-def _bench_search(source: str, target_cycles: int, max_units: int,
-                  repeats: int) -> dict:
-    baseline_row = _seed_search(source, target_cycles, max_units)
-    point = _fresh(
-        lambda: search_for_latency(source, target_cycles,
-                                   max_units=max_units)
-    )()
-    new_row = (None if point is None else
-               (str(point.constraints), point.area, point.cycles,
-                point.clock_ns))
-    baseline_s = _best_of(
-        _as_seed(lambda: _seed_search(source, target_cycles, max_units)),
-        repeats,
-    )
-    new_s = _best_of(
-        _fresh(lambda: search_for_latency(source, target_cycles,
-                                          max_units=max_units)),
-        repeats,
-    )
-    return {
-        "target_cycles": target_cycles,
-        "max_units": max_units,
-        "result": new_row and new_row[0],
-        "baseline_s": baseline_s,
-        "new_s": new_s,
-        "speedup": baseline_s / new_s,
-        "equivalent": baseline_row == new_row,
-    }
-
-
-def _bench_force_directed(name: str, problem_factory, repeats: int,
-                          deadline: int | None = None) -> dict:
-    def reference():
-        previous = set_problem_caching(False)
-        try:
-            return ForceDirectedScheduler(
-                problem_factory(), deadline=deadline, _reference=True
-            ).schedule()
-        finally:
-            set_problem_caching(previous)
-
-    def incremental():
-        return ForceDirectedScheduler(
-            problem_factory(), deadline=deadline
-        ).schedule()
-
-    identical = reference().start == incremental().start
-    reference_s = _best_of(reference, repeats)
-    incremental_s = _best_of(incremental, repeats)
-    return {
-        "workload": name,
-        "reference_s": reference_s,
-        "incremental_s": incremental_s,
-        "speedup": reference_s / incremental_s,
-        "identical_schedules": identical,
-    }
-
-
-def _bench_list(name: str, problem_factory, repeats: int) -> dict:
-    def uncached():
-        previous = set_problem_caching(False)
-        try:
-            return ListScheduler(problem_factory()).schedule()
-        finally:
-            set_problem_caching(previous)
-
-    def cached():
-        return ListScheduler(problem_factory()).schedule()
-
-    identical = uncached().start == cached().start
-    uncached_s = _best_of(uncached, repeats)
-    cached_s = _best_of(cached, repeats)
-    return {
-        "workload": name,
-        "baseline_s": uncached_s,
-        "new_s": cached_s,
-        "speedup": uncached_s / cached_s,
-        "identical_schedules": identical,
-    }
-
-
-def _stage_breakdown(name: str, source: str, fu_limit: int = 2) -> dict:
-    """Per-stage wall time of one traced synthesis run.
-
-    Makes the perf trajectory attributable: instead of one opaque
-    number per sweep, ``BENCH_dse.json`` records where each workload's
-    synthesis time actually goes, stage by stage.
-    """
-    clear_synthesis_cache()
-    obs.tracer().clear()
-    with obs.tracing(True):
-        synthesize(source, options=SynthesisOptions(
-            constraints=ResourceConstraints({"fu": fu_limit})
-        ))
-    records = obs.tracer().records()
-    total_us = sum(r.duration_us for r in records if r.parent is None)
-    stages = {
-        stage: {
-            "calls": entry["calls"],
-            "ms": entry["total_us"] / 1000.0,
-            "share": (entry["total_us"] / total_us) if total_us else 0.0,
-        }
-        for stage, entry in obs.stage_totals(records).items()
-    }
-    obs.tracer().clear()
-    return {
-        "workload": name,
-        "total_ms": total_us / 1000.0,
-        "stages": stages,
-    }
 
 
 # ----------------------------------------------------------------------
@@ -400,84 +190,6 @@ def _bench_edit_resynthesis(repeats: int) -> dict:
         "replayed_blocks": len(verified.replayed_blocks),
         "rescheduled_blocks": len(verified.scheduled_blocks),
         "equivalent": bool(verified.verified),
-    }
-
-
-def _bench_interning(taps: int, repeats: int) -> dict:
-    """Memory and time of compiling with type interning on vs off.
-
-    Memory is the retained footprint of the *type objects* the built
-    CDFG holds — exactly what interning collapses — counted
-    deterministically over distinct instances (``tracemalloc`` around
-    the whole build drowns the signal in allocator noise).
-    ``equivalent`` checks both builds describe the same IR.
-    """
-    source = fir_source(taps)
-
-    def build():
-        cdfg = compile_source(source)
-        optimize(cdfg, unroll=True)
-        return cdfg
-
-    def shape(cdfg) -> list[tuple]:
-        return [
-            (block.name, [(op.kind.value, str(op.result.type)
-                           if op.result else None) for op in block.ops])
-            for block in cdfg.blocks()
-        ]
-
-    def type_footprint(cdfg) -> tuple[int, int]:
-        """(bytes, instances) of the distinct type objects retained by
-        every value in the CDFG."""
-        seen: dict[int, int] = {}
-        for block in cdfg.blocks():
-            for op in block.ops:
-                values = list(op.operands)
-                if op.result is not None:
-                    values.append(op.result)
-                for value in values:
-                    type_ = value.type
-                    if id(type_) not in seen:
-                        size = sys.getsizeof(type_)
-                        instance_dict = getattr(type_, "__dict__", None)
-                        if instance_dict is not None:
-                            size += sys.getsizeof(instance_dict)
-                        seen[id(type_)] = size
-        return sum(seen.values()), len(seen)
-
-    def measured(enabled: bool) -> tuple[int, int, list[tuple]]:
-        previous = set_type_interning(enabled)
-        try:
-            cdfg = build()
-            size, instances = type_footprint(cdfg)
-            return size, instances, shape(cdfg)
-        finally:
-            set_type_interning(previous)
-
-    def timed(enabled: bool) -> float:
-        def run():
-            previous = set_type_interning(enabled)
-            try:
-                build()
-            finally:
-                set_type_interning(previous)
-        return _best_of(run, repeats)
-
-    interned_bytes, interned_objs, interned_shape = measured(True)
-    uninterned_bytes, uninterned_objs, uninterned_shape = measured(False)
-    interned_s = timed(True)
-    uninterned_s = timed(False)
-    return {
-        "workload": f"fir({taps}) compile+unroll",
-        "interned_bytes": interned_bytes,
-        "uninterned_bytes": uninterned_bytes,
-        "bytes_saved": uninterned_bytes - interned_bytes,
-        "interned_type_objects": interned_objs,
-        "uninterned_type_objects": uninterned_objs,
-        "interned_s": interned_s,
-        "uninterned_s": uninterned_s,
-        "speedup": uninterned_s / interned_s,
-        "equivalent": interned_shape == uninterned_shape,
     }
 
 
@@ -637,13 +349,6 @@ def _bench_directives(limits: list[int], repeats: int) -> dict:
     }
 
 
-def _single_block_problem(cdfg, model, constraints=None,
-                          time_limit=None) -> SchedulingProblem:
-    blocks = [block for block in cdfg.blocks() if block.ops]
-    return SchedulingProblem.from_block(blocks[0], model, constraints,
-                                        time_limit=time_limit)
-
-
 def _ledger_records(report: dict) -> None:
     """One ``bench`` record per benchmark row when a ledger is active.
 
@@ -655,8 +360,7 @@ def _ledger_records(report: dict) -> None:
     ledger = run_ledger.active_ledger()
     if ledger is None:
         return
-    for section in ("dse", "directives", "schedulers", "store", "ir",
-                    "narrow"):
+    for section in ("directives", "store", "narrow"):
         for name, entry in report[section].items():
             wall = entry.get(
                 "new_s",
@@ -670,110 +374,49 @@ def _ledger_records(report: dict) -> None:
 
 
 def run_benchmarks(budget: str = "full") -> dict:
-    """Time seed vs fast paths; returns the report dict.
+    """Run every section at ``budget``; returns the report dict.
 
     Runs inside a :func:`repro.obs.ledger.ledger_scope` so the
-    hundreds of syntheses below never auto-record; when a ledger is
-    active the harness appends one ``bench`` record per benchmark row
-    instead.
+    syntheses below never auto-record; when a ledger is active the
+    harness appends one ``bench`` record per benchmark row instead.
     """
     if budget not in BUDGETS:
         raise ValueError(f"unknown budget {budget!r}")
     knobs = BUDGETS[budget]
     repeats = knobs["repeats"]
 
-    random_spec = RandomDFGSpec(ops=knobs["random_ops"], seed=42)
-    typed = TypedFUModel()
-    universal = UniversalFUModel()
-
     with run_ledger.ledger_scope():
-        report = _build_report(budget, knobs, repeats, random_spec,
-                               typed, universal)
+        report = {
+            "budget": budget,
+            "repeats": repeats,
+            "timer": "min over repeats of time.perf_counter",
+            "python": platform.python_version(),
+            "cpu_count": os.cpu_count(),
+            "generated": time.strftime("%Y-%m-%dT%H:%M:%S%z"),
+            "store": {
+                "cross_process_sweep": _bench_store_cross_process(
+                    knobs["store_limits"], repeats,
+                ),
+                "edit_resynthesis": _bench_edit_resynthesis(repeats),
+            },
+            "narrow": {
+                "diffeq_contract": _bench_narrow(repeats),
+            },
+            "directives": {
+                "diffeq": _bench_directives(
+                    list(range(1, knobs["directive_limits"] + 1)),
+                    repeats,
+                ),
+            },
+        }
     _ledger_records(report)
-    return report
-
-
-def _build_report(budget, knobs, repeats, random_spec, typed,
-                  universal) -> dict:
-    report = {
-        "budget": budget,
-        "repeats": repeats,
-        "timer": "min over repeats of time.perf_counter",
-        "python": platform.python_version(),
-        "cpu_count": os.cpu_count(),
-        "generated": time.strftime("%Y-%m-%dT%H:%M:%S%z"),
-        "dse": {
-            "diffeq_sweep": _bench_sweep(
-                "diffeq", DIFFEQ_SOURCE,
-                list(range(1, knobs["diffeq_limits"] + 1)), repeats,
-            ),
-            "sqrt_sweep": _bench_sweep(
-                "sqrt", SQRT_SOURCE,
-                list(range(1, knobs["sqrt_limits"] + 1)), repeats,
-            ),
-            "sqrt_search": _bench_search(
-                SQRT_SOURCE, target_cycles=10,
-                max_units=knobs["search_max_units"], repeats=repeats,
-            ),
-        },
-        "stage_breakdown": {
-            "sqrt": _stage_breakdown("sqrt", SQRT_SOURCE),
-            "diffeq": _stage_breakdown("diffeq", DIFFEQ_SOURCE),
-        },
-        "schedulers": {
-            "force_directed_fig5": _bench_force_directed(
-                "fig5",
-                lambda: _single_block_problem(
-                    fig5_cdfg(), TypedFUModel(single_cycle=True),
-                    time_limit=3,
-                ),
-                repeats, deadline=3,
-            ),
-            "force_directed_ewf": _bench_force_directed(
-                "ewf",
-                lambda: _single_block_problem(ewf_cdfg(), typed),
-                repeats,
-            ),
-            "force_directed_random": _bench_force_directed(
-                f"random_dfg(ops={random_spec.ops}, seed=42)",
-                lambda: _single_block_problem(
-                    random_dfg(random_spec), typed
-                ),
-                repeats,
-            ),
-            "list_random": _bench_list(
-                f"random_dfg(ops={random_spec.ops}, seed=42)",
-                lambda: _single_block_problem(
-                    random_dfg(random_spec), universal,
-                    ResourceConstraints({"fu": 4}),
-                ),
-                repeats,
-            ),
-        },
-        "store": {
-            "cross_process_sweep": _bench_store_cross_process(
-                knobs["store_limits"], repeats,
-            ),
-            "edit_resynthesis": _bench_edit_resynthesis(repeats),
-        },
-        "ir": {
-            "interning": _bench_interning(knobs["fir_taps"], repeats),
-        },
-        "narrow": {
-            "diffeq_contract": _bench_narrow(repeats),
-        },
-        "directives": {
-            "diffeq": _bench_directives(
-                list(range(1, knobs["directive_limits"] + 1)), repeats,
-            ),
-        },
-    }
     return report
 
 
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
-        description="time the DSE fast path against the seed strategy"
+        description="time the design store, narrowing and directive "
+                    "DSE; write BENCH_dse.json"
     )
     parser.add_argument("--budget", choices=sorted(BUDGETS),
                         default="full")
@@ -793,12 +436,9 @@ def main(argv: list[str] | None = None) -> int:
     report = run_benchmarks(args.budget)
     Path(args.output).write_text(json.dumps(report, indent=2) + "\n")
 
-    for section in ("dse", "schedulers", "store", "ir"):
-        for name, entry in report[section].items():
-            flag = entry.get("equivalent",
-                             entry.get("identical_schedules"))
-            print(f"{section}/{name}: {entry['speedup']:.2f}x "
-                  f"(results identical: {flag})")
+    for name, entry in report["store"].items():
+        print(f"store/{name}: {entry['speedup']:.2f}x "
+              f"(results identical: {entry['equivalent']})")
     for name, entry in report["directives"].items():
         print(f"directives/{name}: {entry['exhaustive']} cells -> "
               f"{entry['configs_evaluated']} full evaluations "
@@ -810,12 +450,6 @@ def main(argv: list[str] | None = None) -> int:
               f"{entry['narrowed_area']:.0f} "
               f"({entry['area_saved_pct']:.1f}% saved; "
               f"equivalent: {entry['equivalent']})")
-    for name, entry in report["stage_breakdown"].items():
-        hottest = max(entry["stages"].items(),
-                      key=lambda item: item[1]["ms"])
-        print(f"stage_breakdown/{name}: {entry['total_ms']:.1f}ms "
-              f"total, hottest stage {hottest[0]} "
-              f"({hottest[1]['ms']:.1f}ms)")
     print(f"wrote {args.output}")
     return 0
 

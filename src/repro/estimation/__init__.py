@@ -7,7 +7,7 @@ from .floorplan import (
     estimate_wiring,
     place_linear,
 )
-from .qor import DEFAULT_RANKING_TRIPS, QoREstimate, QoRModel, estimate_qor
+from .qor import DEFAULT_RANKING_TRIPS, QoREstimate, QoRModel
 from .timing import TimingEstimate, estimate_clock_period, estimate_timing
 
 __all__ = [
@@ -20,7 +20,6 @@ __all__ = [
     "WiringEstimate",
     "estimate_area",
     "estimate_clock_period",
-    "estimate_qor",
     "estimate_timing",
     "estimate_wiring",
     "place_linear",

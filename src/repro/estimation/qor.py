@@ -142,7 +142,7 @@ def _op_width(op) -> int:
 
 
 class QoRModel:
-    """Per-CDFG precomputation behind :func:`estimate_qor`.
+    """Per-CDFG precomputation behind the QoR estimate.
 
     Build once per optimized CDFG, then call :meth:`estimate` per
     resource budget — the directive funnel scores one transform
@@ -332,15 +332,3 @@ class QoRModel:
             area=area,
             clock_ns=self._clock_ns(),
         )
-
-
-def estimate_qor(cdfg: CDFG,
-                 constraints: ResourceConstraints | None = None,
-                 model: ResourceModel | None = None,
-                 library: ComponentLibrary | None = None,
-                 ranking_trips: int = DEFAULT_RANKING_TRIPS,
-                 ) -> QoREstimate:
-    """One-shot convenience over :class:`QoRModel` (build + estimate)."""
-    return QoRModel(
-        cdfg, model=model, library=library, ranking_trips=ranking_trips
-    ).estimate(constraints)

@@ -16,9 +16,9 @@ Exploration is built for "a reasonable amount of time":
 * behavioral source is compiled and IR-optimized **once** per sweep;
   every point then synthesizes against the shared CDFG (the pipeline
   only reads it after optimization) while per-block scheduling
-  structure is reused across resource budgets — parallel workers
-  instead deep-clone the template per point
-  (:func:`~repro.transforms.clone_cdfg`);
+  structure is reused across resource budgets — parallel workers do
+  the same against one template per process
+  (:mod:`repro.explore.parallel`);
 * synthesized designs are memoized in the two-tier design cache
   (:func:`~repro.core.engine.lookup_design`: the process-global LRU,
   backed by the persistent :mod:`repro.store` when one is active),
@@ -84,64 +84,6 @@ class DesignPoint:
         )
 
 
-class _VersionedPointList(list):
-    """A point list that counts mutations, so the Pareto cache knows
-    when to recompute."""
-
-    def __init__(self, iterable: Sequence = ()) -> None:
-        super().__init__(iterable)
-        self.version = 0
-
-    def _bump(self) -> None:
-        self.version += 1
-
-    def append(self, item) -> None:
-        super().append(item)
-        self._bump()
-
-    def extend(self, iterable) -> None:
-        super().extend(iterable)
-        self._bump()
-
-    def insert(self, index, item) -> None:
-        super().insert(index, item)
-        self._bump()
-
-    def remove(self, item) -> None:
-        super().remove(item)
-        self._bump()
-
-    def pop(self, index=-1):
-        item = super().pop(index)
-        self._bump()
-        return item
-
-    def clear(self) -> None:
-        super().clear()
-        self._bump()
-
-    def sort(self, **kwargs) -> None:
-        super().sort(**kwargs)
-        self._bump()
-
-    def reverse(self) -> None:
-        super().reverse()
-        self._bump()
-
-    def __setitem__(self, index, value) -> None:
-        super().__setitem__(index, value)
-        self._bump()
-
-    def __delitem__(self, index) -> None:
-        super().__delitem__(index)
-        self._bump()
-
-    def __iadd__(self, other):
-        result = super().__iadd__(other)
-        self._bump()
-        return result
-
-
 @dataclass
 class ExplorationResult:
     """All explored points plus the Pareto front (area vs latency)."""
@@ -161,29 +103,15 @@ class ExplorationResult:
         """Did every requested point produce a design?"""
         return not self.failures
 
-    def __post_init__(self) -> None:
-        self.points = _VersionedPointList(self.points)
-        self._pareto_cache: list[DesignPoint] | None = None
-        self._pareto_version = -1
-
     @property
     def pareto(self) -> list[DesignPoint]:
-        version = getattr(self.points, "version", None)
-        if version is None:
-            # Someone replaced .points with a plain list; stay correct
-            # by recomputing every time.
-            return self._compute_pareto()
-        if self._pareto_cache is None or version != self._pareto_version:
-            self._pareto_cache = self._compute_pareto()
-            self._pareto_version = version
-        return list(self._pareto_cache)
+        """The non-dominated points, in (area, latency, index) order.
 
-    def _compute_pareto(self) -> list[DesignPoint]:
-        """Single sorted sweep: a point survives iff its latency is the
+        Single sorted sweep: a point survives iff its latency is the
         minimum of its area group and strictly beats every smaller-area
         group's minimum (equal-cost duplicates don't dominate each
         other, matching the pairwise definition)."""
-        points = list(self.points)
+        points = self.points
         order = sorted(
             range(len(points)),
             key=lambda i: (points[i].area, points[i].latency_ns, i),

@@ -47,6 +47,7 @@ from ..obs import (
     tracing,
     tracing_enabled,
 )
+from ..scheduling import ResourceConstraints
 from ..store import DesignStore, active_store, store_key
 from ..transforms import optimize
 from .dse import DesignPoint, _PointBuilder, measure_cycles
@@ -221,6 +222,10 @@ class ParallelExplorer:
         limits = list(limits)
         if not limits or self.max_workers <= 1 or len(limits) == 1:
             return [builder.build(limit) for limit in limits], []
+        # A malformed budget is the caller's error, not a failed point:
+        # raise it here, as the serial path does, before any worker runs.
+        for limit in limits:
+            ResourceConstraints({builder.resource_class: limit})
 
         source_or_factory = builder.source_or_factory
         is_source = isinstance(source_or_factory, str)

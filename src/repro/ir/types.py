@@ -151,37 +151,6 @@ BOOL = IntType(1, signed=False)
 """The 1-bit unsigned type produced by comparisons and logic reductions."""
 
 
-# ----------------------------------------------------------------------
-# Interning.  Types are immutable value objects, but the hot paths
-# (``common_type`` on every binary op, ``Value`` creation on every
-# emitted/cloned op) construct fresh instances; a big DFG ends up
-# holding thousands of identical IntType/FixedType objects.  Interning
-# collapses them to one canonical instance per distinct type.  The
-# table is tiny (a handful of widths per design) and process-global;
-# the toggle exists so the perf harness can measure the delta.
-
-_INTERN_ENABLED = True
-_INTERNED: dict[Type, Type] = {}
-
-
-def set_type_interning(enabled: bool) -> bool:
-    """Enable/disable type interning; returns the previous setting."""
-    global _INTERN_ENABLED
-    previous = _INTERN_ENABLED
-    _INTERN_ENABLED = enabled
-    return previous
-
-
-def intern_type(type_: Type) -> Type:
-    """The canonical shared instance equal to ``type_``."""
-    if not _INTERN_ENABLED:
-        return type_
-    canonical = _INTERNED.get(type_)
-    if canonical is None:
-        _INTERNED[type_] = canonical = type_
-    return canonical
-
-
 def is_scalar(type_: Type) -> bool:
     """True for types a register can hold (ints and fixed-point)."""
     return isinstance(type_, (IntType, FixedType))
@@ -210,5 +179,5 @@ def common_type(a: Type, b: Type) -> Type:
     frac = max(a_frac, b_frac)
     width = max(a.width, b.width)
     if frac == 0:
-        return intern_type(IntType(width, signed))
-    return intern_type(FixedType(max(width, frac + 1), frac, signed))
+        return IntType(width, signed)
+    return FixedType(max(width, frac + 1), frac, signed)

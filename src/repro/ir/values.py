@@ -20,7 +20,7 @@ from typing import TYPE_CHECKING, Any, Iterator
 
 from ..errors import IRError
 from .opcodes import OpKind, op_info
-from .types import BOOL, Type, intern_type
+from .types import BOOL, Type
 
 if TYPE_CHECKING:  # pragma: no cover
     from .cdfg import CDFG
@@ -42,18 +42,10 @@ class Value:
     def __init__(self, id: int, type_: Type, producer: "Operation",
                  name: str | None = None) -> None:
         self.id = id
-        # Interned: equal types share one instance, so a large DFG
-        # holds one IntType per distinct width instead of one per arc.
-        self.type = intern_type(type_)
+        self.type = type_
         self.producer = producer
         self.name = name
         self.uses: list[tuple[Operation, int]] = []
-
-    @property
-    def consumers(self) -> list["Operation"]:
-        """Operations that read this value (with duplicates if an op
-        uses it in several operand slots)."""
-        return [op for op, _ in self.uses]
 
     def __repr__(self) -> str:
         hint = f":{self.name}" if self.name else ""
@@ -87,11 +79,6 @@ class Operation:
     @property
     def info(self):
         return op_info(self.kind)
-
-    def operand_producers(self) -> Iterator["Operation"]:
-        """Producers of this op's operands (the DFG predecessors)."""
-        for value in self.operands:
-            yield value.producer
 
     def replace_operand(self, index: int, new_value: Value) -> None:
         """Rewire operand ``index`` to ``new_value``, keeping use lists."""
@@ -242,14 +229,6 @@ class BasicBlock:
             for op in self.ops
             if op.kind is OpKind.VAR_WRITE
         }
-
-    def var_reads(self) -> dict[str, list[Operation]]:
-        """Map variable name -> VAR_READ ops in this block."""
-        reads: dict[str, list[Operation]] = {}
-        for op in self.ops:
-            if op.kind is OpKind.VAR_READ:
-                reads.setdefault(op.attrs["var"], []).append(op)
-        return reads
 
     def compute_ops(self) -> list[Operation]:
         """Operations other than the free data plumbing kinds."""

@@ -6,7 +6,7 @@
 from . import ast
 from .lexer import Lexer, tokenize
 from .parser import Parser, parse
-from .semantics import Lowerer, compile_program, compile_source
+from .semantics import Lowerer, compile_source
 from .tokens import Token, TokenKind
 
 __all__ = [
@@ -16,7 +16,6 @@ __all__ = [
     "Token",
     "TokenKind",
     "ast",
-    "compile_program",
     "compile_source",
     "parse",
     "tokenize",

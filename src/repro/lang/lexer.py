@@ -2,10 +2,14 @@
 
 Comments run from ``--`` to end of line (the Ada style the paper's
 systems used) or are enclosed in ``{ }`` (Pascal style).  Identifiers
-are case-sensitive; keywords are lowercase.
+are ASCII ``[A-Za-z_][A-Za-z0-9_]*`` — they reach the emitted Verilog
+and VHDL as port, register and state names — and case-sensitive;
+keywords are lowercase.
 """
 
 from __future__ import annotations
+
+import string
 
 from ..errors import LexError, SourceLocation
 from .tokens import KEYWORDS, Token, TokenKind
@@ -18,6 +22,9 @@ _TWO_CHAR = {
     ">=": TokenKind.GE,
     "/=": TokenKind.NE,
 }
+
+_IDENT_START = frozenset(string.ascii_letters + "_")
+_IDENT_CHARS = _IDENT_START | frozenset(string.digits)
 
 _ONE_CHAR = {
     "(": TokenKind.LPAREN,
@@ -102,7 +109,7 @@ class Lexer:
         char = self._peek()
         if char == "":
             return Token(TokenKind.EOF, "", location)
-        if char.isalpha() or char == "_":
+        if char in _IDENT_START:
             return self._identifier(location)
         if char.isdecimal():
             return self._number(location)
@@ -117,7 +124,7 @@ class Lexer:
 
     def _identifier(self, location: SourceLocation) -> Token:
         start = self._pos
-        while self._peek().isalnum() or self._peek() == "_":
+        while self._peek() in _IDENT_CHARS:
             self._advance()
         text = self._source[start:self._pos]
         kind = KEYWORDS.get(text, TokenKind.IDENT)

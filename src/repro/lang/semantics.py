@@ -693,9 +693,3 @@ def compile_source(source: str, procedure: str | None = None,
         cdfg = Lowerer(program, sink=sink).lower(procedure)
         span.set(design=cdfg.name)
     return cdfg
-
-
-def compile_program(program: ast.Program,
-                    procedure: str | None = None, sink=None) -> CDFG:
-    """Lower an already-parsed program into a validated CDFG."""
-    return Lowerer(program, sink=sink).lower(procedure)

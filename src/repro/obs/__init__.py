@@ -5,8 +5,8 @@ Three layers, all zero-dependency:
 * **tracing** (:func:`trace_span`) — nested, monotonic-clock spans
   around every pipeline stage, transform pass, verify contract and
   DSE evaluation.  Off by default; enable with
-  ``SynthesisOptions(trace=True)``, :func:`enable_tracing`, or env
-  ``REPRO_TRACE=1``.  Export with :func:`chrome_trace` /
+  ``SynthesisOptions(trace=True)``, the :func:`tracing` scope, or
+  env ``REPRO_TRACE=1``.  Export with :func:`chrome_trace` /
   :func:`write_chrome_trace` (``chrome://tracing`` / Perfetto).
 * **metrics** (:func:`metrics`) — always-on counters, gauges and
   fixed-bucket histograms: cache hits/misses/evictions, per-scheduler
@@ -62,8 +62,6 @@ from .tracer import (
     NULL_SPAN,
     SpanRecord,
     Tracer,
-    disable_tracing,
-    enable_tracing,
     maybe_tracing,
     reset_tracing,
     trace_span,
@@ -88,9 +86,7 @@ __all__ = [
     "coverage_atoms",
     "coverage_fingerprint",
     "disable_memory",
-    "disable_tracing",
     "enable_memory",
-    "enable_tracing",
     "histogram_deltas",
     "maybe_memory",
     "maybe_tracing",

@@ -440,13 +440,3 @@ def build_record(kind: str, workload: str, *,
                 if span_records is not None else {}),
         extra=dict(extra) if extra else {},
     )
-
-
-def record_run(kind: str, workload: str, **kwargs) -> str | None:
-    """Build and append a record iff a ledger is active and no
-    enclosing driver has claimed the record; returns the run id."""
-    ledger = active_ledger()
-    if ledger is None or in_ledger_scope():
-        return None
-    record = build_record(kind, workload, **kwargs)
-    return ledger.append(record)

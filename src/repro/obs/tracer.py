@@ -8,7 +8,7 @@ finished trace is a forest mirroring the call structure.
 Tracing is **off by default** and must cost (almost) nothing while
 off: :func:`trace_span` then returns a shared no-op context manager
 after a single module-global flag test.  It is enabled either
-programmatically (:func:`enable_tracing` / the :func:`tracing` scope)
+programmatically (the :func:`tracing` scope)
 or by setting ``REPRO_TRACE=1`` in the environment; the engine turns
 it on for a run when ``SynthesisOptions(trace=True)`` is set.
 
@@ -240,16 +240,6 @@ def trace_span(name: str, **attrs):
 def tracing_enabled() -> bool:
     """Is span recording currently on?"""
     return _ENABLED
-
-
-def enable_tracing() -> None:
-    global _ENABLED
-    _ENABLED = True
-
-
-def disable_tracing() -> None:
-    global _ENABLED
-    _ENABLED = False
 
 
 @contextmanager

@@ -28,7 +28,6 @@ from .base import (
     TypedFUModel,
     UniversalFUModel,
     dependence_offset,
-    set_problem_caching,
     total_steps,
 )
 from .force_directed import ForceDirectedScheduler, distribution_graph
@@ -73,7 +72,6 @@ __all__ = [
     "distribution_graph",
     "mobility_priority",
     "path_length_priority",
-    "set_problem_caching",
     "total_steps",
     "unconstrained_asap",
     "urgency_priority",

@@ -232,9 +232,21 @@ class ResourceConstraints:
 
     ``limits[cls]`` is the number of units of that class; classes not
     present are unlimited.  ``unlimited()`` builds the empty constraint.
+    Every limit must be an integer of at least 1: no schedule fits a
+    class with no units, so such a budget is rejected up front rather
+    than left to each scheduler's search.
     """
 
     limits: Mapping[str, int] = field(default_factory=dict)
+
+    def __post_init__(self) -> None:
+        for resource_class, count in self.limits.items():
+            if (isinstance(count, bool) or not isinstance(count, int)
+                    or count < 1):
+                raise SchedulingError(
+                    f"unit limit for class {resource_class!r} must be "
+                    f"an integer >= 1, got {count!r}"
+                )
 
     @classmethod
     def unlimited(cls) -> "ResourceConstraints":
@@ -294,31 +306,11 @@ class TimingConstraint:
             )
 
 
-#: Global switch for the per-problem memoization below.  Always on in
-#: production; the perf bench harness disables it to time a faithful
-#: replica of the original (recompute-everything) implementation.
-_PROBLEM_CACHING = True
-
-
-def set_problem_caching(enabled: bool) -> bool:
-    """Enable/disable :class:`SchedulingProblem` memoization globally.
-
-    Returns the previous setting.  Only the perf benchmark harness
-    should ever turn this off — it restores the pre-optimization
-    behavior so baseline timings stay honest.
-    """
-    global _PROBLEM_CACHING
-    previous = _PROBLEM_CACHING
-    _PROBLEM_CACHING = enabled
-    return previous
-
-
 class SchedulingProblem:
     """One scheduling region: ops + dependences + model + constraints.
 
     A region is normally one basic block (loop boundaries delimit
     regions, as in the paper's Fig. 2 where dummy nodes mark the loop).
-    ``from_blocks`` fuses several straight-line blocks into one region.
 
     The dependence graph, model and constraints are fixed after
     construction, so derived queries (topological order, per-op delays
@@ -391,16 +383,6 @@ class SchedulingProblem:
         return cls(list(block.ops), model, constraints, time_limit,
                    label=block.name)
 
-    @classmethod
-    def from_blocks(cls, blocks: list[BasicBlock], model: ResourceModel,
-                    constraints: ResourceConstraints | None = None,
-                    time_limit: int | None = None,
-                    label: str = "region") -> "SchedulingProblem":
-        ops: list[Operation] = []
-        for block in blocks:
-            ops.extend(block.ops)
-        return cls(ops, model, constraints, time_limit, label=label)
-
     def with_constraints(
         self, constraints: ResourceConstraints | None
     ) -> "SchedulingProblem":
@@ -421,11 +403,10 @@ class SchedulingProblem:
         clone.graph = self.graph
         clone._by_id = self._by_id
         clone.timing_constraints = self.timing_constraints
-        if _PROBLEM_CACHING:
-            # Warm the scalar memos so every sibling problem inherits
-            # them (the dict memos are shared live either way).
-            self.topological()
-            self.critical_path()
+        # Warm the scalar memos so every sibling problem inherits them
+        # (the dict memos are shared live either way).
+        self.topological()
+        self.critical_path()
         clone._topo_cache = self._topo_cache
         clone._critical_cache = self._critical_cache
         clone._path_lengths_cache = self._path_lengths_cache
@@ -444,61 +425,50 @@ class SchedulingProblem:
     def edge_offset(self, u: int, v: int) -> int:
         """Minimum ``start(v) - start(u)`` for graph edge ``u -> v``:
         the chaining rule, raised by any folded timing minimum."""
-        if _PROBLEM_CACHING:
-            cached = self._offset_cache.get((u, v))
-            if cached is not None:
-                return cached
+        cached = self._offset_cache.get((u, v))
+        if cached is not None:
+            return cached
         data = self.graph.edges[u, v]
         if data.get("reason") == "timing":
             base = 0
         else:
             base = dependence_offset(self.delay(u), self.delay(v))
         offset = max(base, data.get("min_offset", 0))
-        if _PROBLEM_CACHING:
-            self._offset_cache[(u, v)] = offset
+        self._offset_cache[(u, v)] = offset
         return offset
 
     def delay(self, op_id: int) -> int:
-        if _PROBLEM_CACHING:
-            try:
-                return self._delay_cache[op_id]
-            except KeyError:
-                pass
+        try:
+            return self._delay_cache[op_id]
+        except KeyError:
+            pass
         delay = self.model.delay(self._by_id[op_id])
-        if _PROBLEM_CACHING:
-            self._delay_cache[op_id] = delay
+        self._delay_cache[op_id] = delay
         return delay
 
     def occupancy(self, op_id: int) -> int:
-        if _PROBLEM_CACHING:
-            try:
-                return self._occupancy_cache[op_id]
-            except KeyError:
-                pass
+        try:
+            return self._occupancy_cache[op_id]
+        except KeyError:
+            pass
         occupancy = self.model.occupancy(self._by_id[op_id])
-        if _PROBLEM_CACHING:
-            self._occupancy_cache[op_id] = occupancy
+        self._occupancy_cache[op_id] = occupancy
         return occupancy
 
     def op_class(self, op_id: int) -> str | None:
-        if _PROBLEM_CACHING:
-            try:
-                return self._class_cache[op_id]
-            except KeyError:
-                pass
+        try:
+            return self._class_cache[op_id]
+        except KeyError:
+            pass
         cls = self.model.op_class(self._by_id[op_id])
-        if _PROBLEM_CACHING:
-            self._class_cache[op_id] = cls
+        self._class_cache[op_id] = cls
         return cls
 
     def topological(self) -> list[int]:
         """Deterministic topological order (cached — do not mutate)."""
-        if _PROBLEM_CACHING and self._topo_cache is not None:
-            return self._topo_cache
-        topo = topological_order(self.graph)
-        if _PROBLEM_CACHING:
-            self._topo_cache = topo
-        return topo
+        if self._topo_cache is None:
+            self._topo_cache = topological_order(self.graph)
+        return self._topo_cache
 
     def compute_op_ids(self) -> list[int]:
         """Ids of ops that consume a resource (non-free), sorted."""
@@ -510,23 +480,20 @@ class SchedulingProblem:
         """Delay-weighted longest path from each op to any sink
         (cached — the list scheduler's priority and the critical path
         both read it)."""
-        if _PROBLEM_CACHING and self._path_lengths_cache is not None:
-            return self._path_lengths_cache
-        from ..ir.dfg import path_length_to_sink
+        if self._path_lengths_cache is None:
+            from ..ir.dfg import path_length_to_sink
 
-        lengths = path_length_to_sink(self.graph, self.model.delay,
-                                      order=self.topological())
-        if _PROBLEM_CACHING:
-            self._path_lengths_cache = lengths
-        return lengths
+            self._path_lengths_cache = path_length_to_sink(
+                self.graph, self.model.delay, order=self.topological()
+            )
+        return self._path_lengths_cache
 
     def critical_path(self) -> int:
-        if _PROBLEM_CACHING and self._critical_cache is not None:
-            return self._critical_cache
-        length = max(self.path_lengths_to_sink().values(), default=0)
-        if _PROBLEM_CACHING:
-            self._critical_cache = length
-        return length
+        if self._critical_cache is None:
+            self._critical_cache = max(
+                self.path_lengths_to_sink().values(), default=0
+            )
+        return self._critical_cache
 
 
 # ----------------------------------------------------------------------

@@ -13,27 +13,25 @@ functional units needed to meet a deadline.  "The number of functional
 units allocated is then the maximum number required in any control
 step."
 
-Two execution strategies produce the identical schedule:
-
-* the **incremental** default — after each placement, time frames are
-  updated by propagating only from the newly pinned operation, the
-  distribution graphs are delta-updated from the occupancy rows of the
-  operations whose frames actually moved, and only the placements
-  that read a changed input are rescored (see below);
-* the **reference** path (``_reference=True``) — the textbook loop
-  that recomputes every frame, rebuilds every distribution graph and
-  rescores every pending operation after each placement.  It exists
-  as the oracle for the incremental path's regression tests.
+The scheduler runs incrementally: after each placement, time frames
+are updated by propagating only from the newly pinned operation, the
+distribution graphs are delta-updated from the occupancy rows of the
+operations whose frames actually moved, and only the placements that
+read a changed input are rescored.  The result is the schedule of the
+textbook loop that recomputes every frame, rebuilds every
+distribution graph and rescores every pending operation after each
+placement; that loop is kept as a test oracle (``tests/oracles.py``).
 
 Exactness is what makes "identical" provable: distribution-graph
 entries are kept as integers scaled by ``lcm(1..deadline)`` (each op
 with a width-``k`` frame contributes ``scale/k`` per covered step), so
 graph contents never depend on the order updates were applied in.
-Both paths convert to floats the same way and evaluate every self
-force with the one :meth:`ForceDirectedScheduler._self_force`
-expression, in its summation order.
+Both loops convert to floats the same way and score placements with
+the one :meth:`ForceDirectedScheduler._best_placement` and
+:meth:`ForceDirectedScheduler._self_force` expressions, in their
+summation order.
 
-The incremental path keeps, for each pending op, its best
+The scheduler keeps, for each pending op, its best
 ``(force, op, step)`` and its self forces over sub-frames of its
 current frame.  An op's total forces read its own frame, the frames of
 its direct predecessors and successors, and the graph cells of each of
@@ -170,8 +168,8 @@ class _DistributionState:
     ``scale``; :meth:`refresh_op` delta-updates a single op's
     contribution after its time frame moved.  Because the entries are
     integers, delta-updated graphs equal rebuilt-from-scratch graphs
-    bit for bit — the property the incremental/reference regression
-    tests rely on.
+    bit for bit — the property the oracle-parity regression tests rely
+    on.
     """
 
     def __init__(self, problem: SchedulingProblem, deadline: int,
@@ -370,16 +368,12 @@ class ForceDirectedScheduler(Scheduler):
         problem: the scheduling problem.
         deadline: available control steps; defaults to the problem's
             time limit, else the critical path length.
-        _reference: run the full-recompute textbook loop instead of
-            the incremental one (same schedule, used as the oracle in
-            regression tests and as the perf-bench baseline).
     """
 
     name = "force-directed"
 
     def __init__(self, problem: SchedulingProblem,
-                 deadline: int | None = None,
-                 _reference: bool = False) -> None:
+                 deadline: int | None = None) -> None:
         super().__init__(problem)
         if deadline is None:
             deadline = problem.time_limit
@@ -387,12 +381,9 @@ class ForceDirectedScheduler(Scheduler):
             base = compute_time_frames(problem)
             deadline = base.deadline
         self.deadline = deadline
-        self._reference = _reference
 
     def schedule(self) -> Schedule:
-        result = (self._schedule_reference(self.deadline)
-                  if self._reference
-                  else self._schedule_incremental(self.deadline))
+        result = self._schedule_incremental(self.deadline)
         if self._oversubscribed(result):
             result = self._legalize(result)
             metrics().counter("scheduler.fds.legalized").inc()
@@ -502,42 +493,6 @@ class ForceDirectedScheduler(Scheduler):
                 best[other] = self._best_placement(frames, links, other,
                                                    self_force)
         return self._finish(incremental.fixed, frames)
-
-    def _schedule_reference(self, deadline: int) -> Schedule:
-        problem = self.problem
-        fixed: dict[int, int] = {}
-        pending = set(problem.compute_op_ids())
-        links = self._links()
-        while pending:
-            frames = _frames_with_fixed(problem, deadline, fixed)
-            state = _DistributionState(problem, deadline, frames)
-            _, op_id, step = self._select(
-                frames, state.float_graphs(), links, pending
-            )
-            fixed[op_id] = step
-            pending.discard(op_id)
-        frames = _frames_with_fixed(problem, deadline, fixed)
-        return self._finish(fixed, frames)
-
-    def _select(self, frames: TimeFrames,
-                graphs: dict[str, list[float]], links: _Links,
-                pending: set[int]) -> tuple[float, int, int]:
-        """The placement minimizing total force, ties to the smallest
-        (op id, step), rescoring every pending op."""
-        problem = self.problem
-        # Frames are fixed for the duration of one selection sweep, so
-        # the probability row of any (op, frame) pair is evaluated once
-        # and shared across all candidate placements that touch it.
-        rows: dict[int, dict[tuple[int, int], dict[int, float]]] = {}
-
-        def self_force(op_id: int, first: int, last: int) -> float:
-            return self._self_force(problem, frames, graphs, op_id,
-                                    first, last, rows.setdefault(op_id, {}))
-
-        return min(
-            self._best_placement(frames, links, op_id, self_force)
-            for op_id in sorted(pending)
-        )
 
     def _links(self) -> _Links:
         """Per compute op: its (predecessor, offset) and (successor,

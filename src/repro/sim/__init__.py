@@ -8,7 +8,7 @@ from .equivalence import (
     check_equivalence,
     default_vectors,
 )
-from .rtl_sim import RTLSimulator, TraceEntry, run_rtl
+from .rtl_sim import RTLSimulator, TraceEntry
 from .semantics import coerce, evaluate
 from .vcd import write_vcd
 
@@ -26,5 +26,4 @@ __all__ = [
     "default_vectors",
     "evaluate",
     "run_behavior",
-    "run_rtl",
 ]

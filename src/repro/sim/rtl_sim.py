@@ -241,10 +241,3 @@ class RTLSimulator:
         if target[0] == "var":
             return self._design.cdfg.variables[target[1]]
         return value_type
-
-
-def run_rtl(design: SynthesizedDesign, inputs: dict[str, Number],
-            memories: dict[str, list[Number]] | None = None
-            ) -> dict[str, Number]:
-    """One-shot helper: simulate the design and return its outputs."""
-    return RTLSimulator(design).run(inputs, memories)

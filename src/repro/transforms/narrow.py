@@ -43,7 +43,7 @@ from typing import TYPE_CHECKING, Mapping
 from ..analysis.ranges import Interval, RangesResult, range_analysis
 from ..ir.cdfg import CDFG
 from ..ir.opcodes import OpKind
-from ..ir.types import FixedType, IntType, Type, intern_type
+from ..ir.types import FixedType, IntType, Type
 from .base import Pass
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -76,7 +76,7 @@ def narrowed_type(type_: Type, interval: Interval) -> Type | None:
         )
         width = max(width, type_.frac_bits + 1)
         if width < type_.width:
-            return intern_type(FixedType(width, type_.frac_bits, type_.signed))
+            return FixedType(width, type_.frac_bits, type_.signed)
         return None
     if isinstance(type_, IntType):
         lo, hi = int(interval.lo), int(interval.hi)
@@ -84,7 +84,7 @@ def narrowed_type(type_: Type, interval: Interval) -> Type | None:
             _signed_width(lo, hi) if type_.signed else _unsigned_width(hi)
         )
         if width < type_.width:
-            return intern_type(IntType(width, type_.signed))
+            return IntType(width, type_.signed)
         return None
     return None
 

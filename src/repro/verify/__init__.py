@@ -8,8 +8,8 @@ This package answers "did the pipeline do something legal?" three ways:
   instead of raising;
 * **differential** (:func:`run_differential`,
   :func:`check_all_paths`) — every scheduler × allocator combination
-  (and every paired code path: cached/uncached, serial/parallel,
-  incremental/reference) must agree with the behavioral reference,
+  (and every paired code path: cached/uncached, serial/parallel)
+  must agree with the behavioral reference,
   with failures localized to the first diverging stage;
 * **fuzzing** (:func:`fuzz_seeds`, :func:`fuzz_corpus`) — seeded
   random DFGs through the full matrix, plus a mutational,
@@ -38,7 +38,6 @@ from .differential import (
     PathResult,
     check_all_paths,
     check_cached_paths,
-    check_incremental_force_directed,
     check_parallel_paths,
     first_diverging_stage,
     run_differential,
@@ -104,7 +103,6 @@ __all__ = [
     "check_binding",
     "check_cached_paths",
     "check_controller",
-    "check_incremental_force_directed",
     "check_netlist",
     "check_parallel_paths",
     "check_schedule",

@@ -8,9 +8,7 @@ The flow has many alternative code paths that must agree:
 * the cached and uncached synthesis paths must produce identical
   stage decisions (:func:`check_cached_paths`);
 * the serial and process-pool exploration paths must produce identical
-  design points (:func:`check_parallel_paths`);
-* the incremental force-directed scheduler must match its textbook
-  reference oracle (:func:`check_incremental_force_directed`).
+  design points (:func:`check_parallel_paths`).
 
 Each check reports the *first diverging stage* with a machine-readable
 diff, so a failure points at the responsible pipeline layer instead of
@@ -358,37 +356,6 @@ def check_parallel_paths(source: str, limits: Sequence[int],
     return result
 
 
-def check_incremental_force_directed(
-    workload, deadline: int | None = None
-) -> PathResult:
-    """The incremental force-directed scheduler must exactly match its
-    textbook full-recompute reference on every block of the workload."""
-    from ..scheduling import UniversalFUModel
-    from ..scheduling.base import SchedulingProblem
-    from ..scheduling.force_directed import ForceDirectedScheduler
-    from ..transforms import optimize
-
-    cdfg = _fresh_cdfg(workload)
-    optimize(cdfg)
-    model = UniversalFUModel()
-    result = PathResult("incremental-vs-reference-fds")
-    for block in cdfg.blocks():
-        if not block.ops:
-            continue
-        problem = SchedulingProblem.from_block(block, model)
-        fast = ForceDirectedScheduler(problem, deadline).schedule()
-        slow = ForceDirectedScheduler(
-            problem, deadline, _reference=True
-        ).schedule()
-        if fast.signature() != slow.signature():
-            return PathResult(result.name, False, "scheduling", {
-                "block": block.name,
-                "incremental": dict(fast.start),
-                "reference": dict(slow.start),
-            })
-    return result
-
-
 def check_all_paths(source: str,
                     limits: Sequence[int] = (1, 2, 3),
                     options: SynthesisOptions | None = None,
@@ -397,5 +364,4 @@ def check_all_paths(source: str,
     return [
         check_cached_paths(source, options),
         check_parallel_paths(source, limits, options, n_jobs),
-        check_incremental_force_directed(source),
     ]

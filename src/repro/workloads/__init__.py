@@ -1,7 +1,7 @@
 """Workloads: the paper's examples and the classic HLS benchmark kernels."""
 
 from .diffeq import DIFFEQ_SOURCE, diffeq_cdfg, diffeq_inputs
-from .figures import fig3_cdfg, fig5_cdfg, fig6_cdfg, figure_add_ops
+from .figures import fig3_cdfg, fig5_cdfg, fig6_cdfg
 from .filters import (
     ar_lattice_cdfg,
     ewf_cdfg,
@@ -38,7 +38,6 @@ __all__ = [
     "fig3_cdfg",
     "fig5_cdfg",
     "fig6_cdfg",
-    "figure_add_ops",
     "fir_block_cdfg",
     "fir_cdfg",
     "fir_source",

@@ -117,9 +117,3 @@ def fig6_cdfg() -> CDFG:
     block.write("o4", a4.result)
     cdfg.validate()
     return cdfg
-
-
-def figure_add_ops(cdfg: CDFG) -> list[int]:
-    """Ids of the ADD operations of a figure CDFG, in emission order."""
-    block = next(iter(cdfg.blocks()))
-    return [op.id for op in block.ops if op.kind is OpKind.ADD]

@@ -4,11 +4,14 @@ and for the engine's one-per-synthesis liveness solve.
 ``reference_clique_partition`` is the textbook Tseng-Siewiorek loop:
 it re-sorts every edge and recounts every common neighbourhood after
 each merge.  ``repro.allocation.clique_partition`` must return the
-same partitions.  The force-directed oracle is
-``ForceDirectedScheduler(..., _reference=True)``.
-``reference_live_out_variables`` ignores the live-out set the engine
-hands over on each scheduling problem and re-solves the whole
-procedure on every call.
+same partitions.  ``reference_force_directed`` is the textbook HAL
+loop: it recomputes every time frame, rebuilds every distribution
+graph and rescores every pending operation after each placement;
+``ReferenceForceDirectedScheduler`` runs it in place of the
+incremental loop, and ``ForceDirectedScheduler`` must return the same
+schedules.  ``reference_live_out_variables`` ignores the live-out set
+the engine hands over on each scheduling problem and re-solves the
+whole procedure on every call.
 
 :func:`reference_algorithms` swaps all three oracles into every
 synthesis path, so whole designs built with and without them can be
@@ -28,7 +31,12 @@ import repro.allocation.clique as clique_module
 import repro.allocation.left_edge as left_edge_module
 import repro.analysis.liveness as liveness_module
 import repro.datapath.plan as plan_module
-from repro.scheduling.force_directed import ForceDirectedScheduler
+from repro.scheduling import Schedule
+from repro.scheduling.force_directed import (
+    ForceDirectedScheduler,
+    _DistributionState,
+    _frames_with_fixed,
+)
 
 
 def reference_clique_partition(graph: nx.Graph) -> list[set[Hashable]]:
@@ -66,6 +74,51 @@ def reference_clique_partition(graph: nx.Graph) -> list[set[Hashable]]:
     return sorted(members.values(), key=lambda clique: sorted(clique)[0])
 
 
+def reference_force_directed(scheduler: ForceDirectedScheduler,
+                             deadline: int) -> Schedule:
+    """Pin one op per round at the placement of least total force,
+    ties to the smallest (op id, step), rebuilding every frame and
+    graph and rescoring every pending op each round.
+
+    Scores through the scheduler's own ``_best_placement`` and
+    ``_self_force``, so both loops add the same terms in the same
+    order.
+    """
+    problem = scheduler.problem
+    fixed: dict[int, int] = {}
+    pending = set(problem.compute_op_ids())
+    links = scheduler._links()
+    while pending:
+        frames = _frames_with_fixed(problem, deadline, fixed)
+        graphs = _DistributionState(problem, deadline, frames).float_graphs()
+        # Frames are fixed for one round, so the probability row of any
+        # (op, frame) pair is evaluated once and shared by every
+        # candidate placement that reads it.
+        rows: dict[int, dict[tuple[int, int], dict[int, float]]] = {}
+
+        def self_force(op_id: int, first: int, last: int) -> float:
+            return scheduler._self_force(
+                problem, frames, graphs, op_id, first, last,
+                rows.setdefault(op_id, {}),
+            )
+
+        _, op_id, step = min(
+            scheduler._best_placement(frames, links, op_id, self_force)
+            for op_id in sorted(pending)
+        )
+        fixed[op_id] = step
+        pending.discard(op_id)
+    frames = _frames_with_fixed(problem, deadline, fixed)
+    return scheduler._finish(fixed, frames)
+
+
+class ReferenceForceDirectedScheduler(ForceDirectedScheduler):
+    """``ForceDirectedScheduler`` on the textbook loop (same deadline
+    default and the same legalization under unit caps)."""
+
+    _schedule_incremental = reference_force_directed
+
+
 def reference_live_out_variables(schedule) -> frozenset[str] | None:
     """Variables live out of the block(s) a schedule covers, from a
     whole-procedure solve made for this one call.
@@ -94,7 +147,7 @@ def reference_algorithms():
     the per-call liveness solve in every consumer."""
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(ForceDirectedScheduler, "_schedule_incremental",
-                      ForceDirectedScheduler._schedule_reference)
+                      reference_force_directed)
         patch.setattr(clique_module, "clique_partition",
                       reference_clique_partition)
         for consumer in (left_edge_module, allocation_base, plan_module):

@@ -11,7 +11,6 @@ from repro.scheduling import ListScheduler
 from repro.verify import (
     check_all_paths,
     check_cached_paths,
-    check_incremental_force_directed,
     check_parallel_paths,
     first_diverging_stage,
     run_differential,
@@ -67,16 +66,11 @@ class TestPairedPaths:
         result = check_parallel_paths(SQRT_SOURCE, limits=(1, 2))
         assert result.ok, result.render()
 
-    def test_incremental_fds_matches_reference(self):
-        result = check_incremental_force_directed(SQRT_SOURCE)
-        assert result.ok, result.render()
-
     def test_check_all_paths(self):
         results = check_all_paths(SQRT_SOURCE, limits=(1, 2))
         assert [r.name for r in results] == [
             "cached-vs-uncached",
             "serial-vs-parallel",
-            "incremental-vs-reference-fds",
         ]
         assert all(r.ok for r in results)
 

@@ -19,6 +19,7 @@ from repro.explore import (
     default_directive_space,
     explore_directives,
     explore_fu_range,
+    search_for_latency,
 )
 from repro.explore.dse import _PointBuilder, measure_cycles
 from repro.errors import HLSError
@@ -309,40 +310,70 @@ class TestAssumeContractInSweeps:
         assert builder.vectors is DIFFEQ_VECTORS
 
 
+def _per_point_row(source, options, limit, vectors):
+    """One point the slow way: a full, uncached synthesis per limit."""
+    from repro.estimation import estimate_area, estimate_timing
+
+    clear_synthesis_cache()
+    point_options = options.with_constraints({"fu": limit})
+    design = synthesize(source, options=point_options, use_cache=False)
+    cycles = measure_cycles(design, vectors)
+    return (
+        str(point_options.constraints),
+        estimate_area(design).total,
+        cycles,
+        estimate_timing(design, cycles).clock_ns,
+    )
+
+
 class TestNarrowedSweepParity:
     def test_serial_parallel_and_per_point_agree(self):
-        """Regression: narrowing used to re-run per point on the
-        shared working CDFG; every path must now match a per-point
-        full synthesis."""
-        options = SynthesisOptions(narrow=True,
-                                   assume_ranges=DIFFEQ_CONTRACT)
-        limits = [1, 2]
-        vectors = [diffeq_inputs(2), diffeq_inputs(4)]
-        serial = explore_fu_range(DIFFEQ_SOURCE, limits,
-                                  options=options, vectors=vectors,
-                                  use_cache=False)
-        clear_synthesis_cache()
-        jobbed = explore_fu_range(DIFFEQ_SOURCE, limits,
-                                  options=options, vectors=vectors,
-                                  n_jobs=2, use_cache=False)
-        assert rows(jobbed.points) == rows(serial.points)
-
-        from repro.estimation import estimate_area, estimate_timing
-
-        expected = []
-        for limit in limits:
+        """The compile-once sweep, serial and fanned out, and the
+        latency search must match a per-point full synthesis: plain
+        sqrt and diffeq, and diffeq narrowed under its contract
+        (narrowing used to re-run per point on the shared working
+        CDFG)."""
+        diffeq_vectors = [diffeq_inputs(2), diffeq_inputs(4)]
+        cases = [
+            (SQRT_SOURCE, SynthesisOptions(), [1, 2, 3], None),
+            (DIFFEQ_SOURCE, SynthesisOptions(), [1, 2, 3, 4],
+             diffeq_vectors),
+            (DIFFEQ_SOURCE,
+             SynthesisOptions(narrow=True, assume_ranges=DIFFEQ_CONTRACT),
+             [1, 2], diffeq_vectors),
+        ]
+        for source, options, limits, vectors in cases:
             clear_synthesis_cache()
-            point_options = options.with_constraints({"fu": limit})
-            design = synthesize(DIFFEQ_SOURCE, options=point_options,
-                                use_cache=False)
-            cycles = measure_cycles(design, vectors)
-            expected.append((
-                str(point_options.constraints),
-                estimate_area(design).total,
-                cycles,
-                estimate_timing(design, cycles).clock_ns,
-            ))
-        assert rows(serial.points) == expected
+            serial = explore_fu_range(source, limits, options=options,
+                                      vectors=vectors, use_cache=False)
+            clear_synthesis_cache()
+            jobbed = explore_fu_range(source, limits, options=options,
+                                      vectors=vectors, n_jobs=2,
+                                      use_cache=False)
+            assert rows(jobbed.points) == rows(serial.points)
+            expected = [
+                _per_point_row(source, options, limit, vectors)
+                for limit in limits
+            ]
+            assert rows(serial.points) == expected
+
+        # Smallest unit count meeting 10 cycles: bisect over per-point
+        # rows, as the search does over its compile-once points.
+        low, high = 1, 8
+        best = _per_point_row(SQRT_SOURCE, SynthesisOptions(), high, None)
+        assert best[2] <= 10
+        while low < high:
+            middle = (low + high) // 2
+            point = _per_point_row(SQRT_SOURCE, SynthesisOptions(), middle,
+                                   None)
+            if point[2] <= 10:
+                best, high = point, middle
+            else:
+                low = middle + 1
+        clear_synthesis_cache()
+        found = search_for_latency(SQRT_SOURCE, 10, max_units=8,
+                                   use_cache=False)
+        assert rows([found]) == [best]
 
 
 ZERO_TRIP_SOURCE = """

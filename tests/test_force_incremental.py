@@ -3,10 +3,10 @@
 ``ForceDirectedScheduler`` keeps time frames and distribution graphs
 up to date incrementally as operations are pinned, and rescores only
 the placements whose inputs changed; the textbook full-recompute loop
-survives behind ``_reference=True`` as the oracle.  Both paths share
-the integer-scaled distribution arithmetic and the one self-force
-expression, so the schedules must match *op for op* — not just in
-length or cost.
+is the oracle (``oracles.ReferenceForceDirectedScheduler``).  Both
+loops share the integer-scaled distribution arithmetic and the one
+placement and self-force expressions, so the schedules must match
+*op for op* — not just in length or cost.
 """
 
 import pytest
@@ -20,12 +20,13 @@ from repro.scheduling import (
     TimingConstraint,
     TypedFUModel,
     UniversalFUModel,
-    set_problem_caching,
 )
 from repro.scheduling.force_directed import _probability_row
 from repro.scheduling.mobility import compute_time_frames
 from repro.workloads import ewf_cdfg, fig5_cdfg
 from repro.workloads.random_dfg import RandomDFGSpec, random_dfg
+
+from .oracles import ReferenceForceDirectedScheduler
 
 MODELS = {"typed": TypedFUModel, "universal": UniversalFUModel}
 
@@ -39,8 +40,8 @@ def _single_block_problem(cdfg, model, time_limit=None,
 
 
 def _both_schedules(problem_factory, deadline=None):
-    reference = ForceDirectedScheduler(
-        problem_factory(), deadline=deadline, _reference=True
+    reference = ReferenceForceDirectedScheduler(
+        problem_factory(), deadline=deadline
     ).schedule()
     incremental = ForceDirectedScheduler(
         problem_factory(), deadline=deadline
@@ -50,7 +51,7 @@ def _both_schedules(problem_factory, deadline=None):
     return reference, incremental
 
 
-def _self_force_count(monkeypatch, problem, **kwargs) -> int:
+def _self_force_count(monkeypatch, scheduler_class, problem) -> int:
     """``_self_force`` evaluations of one scheduling run."""
     calls = 0
     original = ForceDirectedScheduler._self_force
@@ -62,7 +63,7 @@ def _self_force_count(monkeypatch, problem, **kwargs) -> int:
 
     with monkeypatch.context() as patch:
         patch.setattr(ForceDirectedScheduler, "_self_force", counted)
-        ForceDirectedScheduler(problem, **kwargs).schedule()
+        scheduler_class(problem).schedule()
     return calls
 
 
@@ -168,20 +169,6 @@ def test_timing_constraints_match_reference(seed):
     assert incremental.start == reference.start
 
 
-def test_incremental_matches_with_problem_caching_disabled():
-    """The parity does not depend on the memoization layer."""
-    spec = RandomDFGSpec(ops=40, seed=123)
-    factory = lambda: _single_block_problem(  # noqa: E731
-        random_dfg(spec), TypedFUModel()
-    )
-    previous = set_problem_caching(False)
-    try:
-        reference, incremental = _both_schedules(factory)
-    finally:
-        set_problem_caching(previous)
-    assert incremental.start == reference.start
-
-
 def test_relaxed_deadline_matches_reference():
     """Extra slack widens every frame; the paths must still agree."""
     factory = lambda: _single_block_problem(  # noqa: E731
@@ -200,8 +187,12 @@ def test_incremental_path_rescores_only_changed_placements(monkeypatch):
     factory = lambda: _single_block_problem(  # noqa: E731
         random_dfg(spec), TypedFUModel()
     )
-    reference = _self_force_count(monkeypatch, factory(), _reference=True)
-    incremental = _self_force_count(monkeypatch, factory())
+    reference = _self_force_count(
+        monkeypatch, ReferenceForceDirectedScheduler, factory()
+    )
+    incremental = _self_force_count(
+        monkeypatch, ForceDirectedScheduler, factory()
+    )
     assert reference > 12_000
     assert incremental <= 3_000
 

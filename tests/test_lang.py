@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.errors import LexError, ParseError, SemanticError
+from repro.errors import LexError, ParseError, SemanticError, SourceLocation
 from repro.ir import IntType, OpKind
 from repro.ir.types import ArrayType, FixedType
 from repro.lang import compile_source, parse, tokenize
@@ -399,6 +399,30 @@ def test_invalid_inputs_raise_located_frontend_errors(declared, literal,
     with pytest.raises(error) as raised:
         synthesize(source)
     assert raised.value.location is not None
+
+
+NAMED = """
+procedure p(input {name}: int<8>; output b: int<8>);
+begin
+  b := {name};
+end
+"""
+
+
+@pytest.mark.parametrize("name,offset", [
+    ("a\N{SUPERSCRIPT TWO}", 1),
+    ("tmp\N{LATIN SMALL LETTER E WITH ACUTE}", 3),
+    ("\N{GREEK SMALL LETTER ALPHA}", 0),
+    ("\N{FULLWIDTH LATIN SMALL LETTER X}", 0),
+], ids=["superscript-digit", "accented-letter", "greek-letter",
+        "fullwidth-letter"])
+def test_identifiers_are_ascii_only(name, offset):
+    """Names reach the Verilog and VHDL text, so only
+    ``[A-Za-z_][A-Za-z0-9_]*`` lexes as an identifier."""
+    with pytest.raises(LexError, match="unexpected character") as raised:
+        compile_source(NAMED.format(name=name))
+    # "procedure p(input " is 18 characters wide.
+    assert raised.value.location == SourceLocation(2, 19 + offset)
 
 
 def test_non_ascii_decimal_digits_still_lex():

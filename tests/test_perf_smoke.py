@@ -33,52 +33,57 @@ def _load_run_bench():
     return module
 
 
+@pytest.fixture(scope="module")
+def smoke_report():
+    """One smoke-budget run shared by the report assertions below.
+
+    A module fixture sets up before the per-test autouse fixtures, so
+    it keeps a developer's store and ledger directories out itself.
+    """
+    from repro.obs.ledger import reset_ledger
+    from repro.store import reset_store
+
+    with pytest.MonkeyPatch.context() as patch:
+        for name in ("REPRO_STORE_DIR", "REPRO_STORE",
+                     "REPRO_LEDGER_DIR", "REPRO_LEDGER"):
+            patch.delenv(name, raising=False)
+        reset_store()
+        reset_ledger()
+        report = _load_run_bench().run_benchmarks("smoke")
+    reset_store()
+    reset_ledger()
+    return report
+
+
 @pytest.mark.perf_smoke
-def test_smoke_budget_runs_and_results_match():
-    run_bench = _load_run_bench()
-    report = run_bench.run_benchmarks("smoke")
-
-    assert report["budget"] == "smoke"
-    assert set(report["dse"]) == {
-        "diffeq_sweep", "sqrt_sweep", "sqrt_search"
-    }
-    for name, entry in report["dse"].items():
-        assert entry["equivalent"], f"dse/{name} diverged from the seed path"
-        assert entry["baseline_s"] > 0 and entry["new_s"] > 0
-    for name, entry in report["schedulers"].items():
-        assert entry["identical_schedules"], (
-            f"schedulers/{name} changed its schedule"
-        )
-        assert entry["speedup"] > 0
+def test_smoke_budget_runs_and_results_match(smoke_report):
+    assert smoke_report["budget"] == "smoke"
+    sections = ("store", "narrow", "directives")
+    assert set(sections) <= set(smoke_report)
+    for section in sections:
+        for name, entry in smoke_report[section].items():
+            assert entry["equivalent"], f"{section}/{name} diverged"
 
 
 @pytest.mark.perf_smoke
-def test_smoke_report_embeds_store_and_ir_sections():
-    run_bench = _load_run_bench()
-    report = run_bench.run_benchmarks("smoke")
-
-    assert set(report["store"]) == {
+def test_smoke_report_embeds_store_and_narrow_sections(smoke_report):
+    assert set(smoke_report["store"]) == {
         "cross_process_sweep", "edit_resynthesis"
     }
-    sweep = report["store"]["cross_process_sweep"]
+    sweep = smoke_report["store"]["cross_process_sweep"]
     assert sweep["equivalent"], "warm sweep rows diverged from cold"
     assert sweep["cold_s"] > 0 and sweep["warm_s"] > 0
     assert sweep["cold_store_misses"] == sweep["points"]
     assert sweep["warm_store_hits"] == sweep["points"]
     assert sweep["warm_store_misses"] == 0
 
-    edit = report["store"]["edit_resynthesis"]
+    edit = smoke_report["store"]["edit_resynthesis"]
     assert edit["equivalent"], "incremental resynthesis not verified"
     assert edit["full_s"] > 0 and edit["incremental_s"] > 0
     assert edit["dirty_blocks"] == 1
     assert edit["replayed_blocks"] >= 1
 
-    interning = report["ir"]["interning"]
-    assert interning["equivalent"], "interning changed the built IR"
-    assert interning["bytes_saved"] > 0
-    assert interning["interned_s"] > 0 and interning["uninterned_s"] > 0
-
-    narrow = report["narrow"]["diffeq_contract"]
+    narrow = smoke_report["narrow"]["diffeq_contract"]
     assert narrow["equivalent"], "narrowed diffeq diverged"
     assert narrow["area_saved"] > 0
     assert narrow["narrow_summary"].startswith("narrow:")
@@ -86,14 +91,11 @@ def test_smoke_report_embeds_store_and_ir_sections():
 
 
 @pytest.mark.perf_smoke
-def test_smoke_report_embeds_directive_funnel():
+def test_smoke_report_embeds_directive_funnel(smoke_report):
     """The directive-DSE section must pin both acceptance properties:
     front expansion over the FU-only sweep and a >=2x full-evaluation
     saving from the estimator funnel."""
-    run_bench = _load_run_bench()
-    report = run_bench.run_benchmarks("smoke")
-
-    entry = report["directives"]["diffeq"]
+    entry = smoke_report["directives"]["diffeq"]
     assert entry["equivalent"], (
         "plain directive cells diverged from the FU-only sweep"
     )
@@ -109,23 +111,6 @@ def test_smoke_report_embeds_directive_funnel():
     )
     assert entry["front_directives"] >= entry["front_baseline"]
     assert entry["new_s"] > 0
-
-
-@pytest.mark.perf_smoke
-def test_smoke_report_embeds_stage_breakdown():
-    run_bench = _load_run_bench()
-    report = run_bench.run_benchmarks("smoke")
-
-    breakdown = report["stage_breakdown"]
-    assert set(breakdown) == {"sqrt", "diffeq"}
-    for workload, entry in breakdown.items():
-        assert entry["total_ms"] > 0
-        stages = entry["stages"]
-        assert set(obs.CORE_STAGES) <= set(stages), workload
-        for stage, row in stages.items():
-            assert row["calls"] >= 1
-            assert row["ms"] >= 0
-            assert 0 <= row["share"] <= 100
 
 
 @pytest.mark.perf_smoke

@@ -44,6 +44,14 @@ def problem_of(cdfg, model=UNIT, constraints=None, time_limit=None):
     )
 
 
+class TestResourceConstraints:
+    @pytest.mark.parametrize("count", [0, -1, 1.5, "2", True, None])
+    def test_limit_below_one_or_not_an_integer_rejected(self, count):
+        with pytest.raises(SchedulingError, match="'fu'") as raised:
+            ResourceConstraints({"fu": count})
+        assert repr(count) in str(raised.value)
+
+
 class TestDependenceOffset:
     def test_compute_to_compute(self):
         assert dependence_offset(1, 1) == 1
