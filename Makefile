@@ -91,9 +91,10 @@ bench:
 # run per workload at a fixed seed, which co-simulates every design it
 # synthesizes against references outside the synthesis path.  Fails
 # unless each run's last line reports "correct": true; no timing gate.
-# A traced dse run follows: the tracer wraps the allocators, the
-# datapath planner and the other layer entry points, so it must still
-# run clean and report every per-layer metric BENCHMARK.json declares.
+# Traced dse and edit runs follow: the tracer wraps the allocators, the
+# datapath planner, resynthesize, diff_cdfgs and the other layer entry
+# points, so each must still run clean and report every per-layer
+# metric BENCHMARK.json declares.
 BENCH_CHECK := import json, sys; r = json.loads(sys.stdin.read()); \
 	print({k: r[k] for k in ("correct", "attempted", "failed")}); \
 	sys.exit(r["correct"] is not True)
@@ -110,9 +111,12 @@ bench-smoke:
 			--seconds 1 --trace 0 | tail -n 1 \
 			| $(PYTHON) -c '$(BENCH_CHECK)' || exit 1; \
 	done
-	@echo "perfbench dse --trace 1"
-	@$(PYTHON) perfbench/run.py --workload dse --seed 1 --seconds 1 \
-		--trace 1 | tail -n 1 | $(PYTHON) -c '$(BENCH_TRACE_CHECK)'
+	@for workload in dse edit; do \
+		echo "perfbench $$workload --trace 1"; \
+		$(PYTHON) perfbench/run.py --workload $$workload --seed 1 \
+			--seconds 1 --trace 1 | tail -n 1 \
+			| $(PYTHON) -c '$(BENCH_TRACE_CHECK)' || exit 1; \
+	done
 
 # Run-ledger views (docs/observability.md).  Tune with e.g.
 # `make report LEDGER=.repro-ledger`.

@@ -254,9 +254,22 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     return 0
 
 
+def _parse_limits(text: str) -> list[int]:
+    """``--limits`` as integers; a malformed item is an input error."""
+    limits = []
+    for item in text.split(","):
+        try:
+            limits.append(int(item))
+        except ValueError:
+            raise HLSError(
+                f"--limits item {item!r} is not an integer"
+            ) from None
+    return limits
+
+
 def cmd_explore(args: argparse.Namespace) -> int:
     source = _read_source(args.file)
-    limits = [int(x) for x in args.limits.split(",")]
+    limits = _parse_limits(args.limits)
     if args.directives:
         from .explore import default_directive_space, explore_directives
 

@@ -57,8 +57,6 @@ from .impact import (
     block_digest,
     cdfg_digests,
     diff_cdfgs,
-    impacted_blocks,
-    structure_digest,
 )
 from .liveness import (
     LivenessResult,
@@ -120,8 +118,6 @@ __all__ = [
     "block_digest",
     "cdfg_digests",
     "diff_cdfgs",
-    "impacted_blocks",
-    "structure_digest",
     "ConstantsResult",
     "TOP",
     "BOTTOM",

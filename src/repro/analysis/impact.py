@@ -3,8 +3,9 @@
 Incremental re-synthesis (:mod:`repro.core.incremental`) needs to know,
 after a source edit, which basic blocks of the freshly compiled CDFG
 are *content-identical* to blocks of a previously synthesized template
-— those can replay their cached schedules — and which downstream
-blocks the edit may reach through variable def-use chains.
+— those can replay their cached schedules.  An unchanged block's
+replayed schedule is legal whatever data flows into it, so no def-use
+closure of the edit is computed.
 
 Identity is structural, not positional: :func:`block_digest` hashes a
 block's operation list with every value reference rewritten to a
@@ -16,8 +17,8 @@ frontend numbers blocks in emission order per CDFG, so unchanged
 program prefixes keep their names across compiles.  A structural edit
 (added/removed control flow) shifts names, which conservatively lands
 blocks in ``dirty``/``added``/``removed`` — reuse degrades, soundness
-does not: the hints derived from a delta are validated against the new
-blocks before use and the whole pipeline still runs on the new CDFG.
+does not: a replayed schedule is validated against its new block
+before use and the whole pipeline still runs on the new CDFG.
 """
 
 from __future__ import annotations
@@ -25,18 +26,8 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass, field
 
-from ..ir.cdfg import (
-    CDFG,
-    BlockRegion,
-    IfRegion,
-    LoopRegion,
-    Region,
-    SeqRegion,
-)
-from ..ir.opcodes import OpKind
+from ..ir.cdfg import CDFG
 from ..ir.values import BasicBlock
-from .cfg import build_cfg
-from .reaching import def_use_chains
 
 
 def _op_positions(cdfg: CDFG) -> dict[int, tuple[str, int]]:
@@ -88,119 +79,34 @@ def cdfg_digests(cdfg: CDFG) -> dict[str, str]:
     }
 
 
-def _region_shape(region: Region) -> tuple:
-    if isinstance(region, BlockRegion):
-        return ("block", region.block.name)
-    if isinstance(region, SeqRegion):
-        return ("seq",) + tuple(
-            _region_shape(item) for item in region.items
-        )
-    if isinstance(region, IfRegion):
-        return (
-            "if",
-            region.cond_block.name,
-            _region_shape(region.then_region),
-            None if region.else_region is None
-            else _region_shape(region.else_region),
-        )
-    if isinstance(region, LoopRegion):
-        return (
-            "loop",
-            region.test_block.name,
-            region.exit_on_true,
-            region.test_in_body,
-            region.trip_count,
-            _region_shape(region.body),
-        )
-    raise TypeError(f"unknown region {region!r}")
-
-
-def structure_digest(cdfg: CDFG) -> str:
-    """Digest of everything *around* the block contents: the region
-    tree shape, ports, and variable/memory declarations."""
-    payload = repr((
-        _region_shape(cdfg.body),
-        tuple((port.name, str(port.type)) for port in cdfg.inputs),
-        tuple((port.name, str(port.type)) for port in cdfg.outputs),
-        tuple(sorted(
-            (name, str(type_)) for name, type_ in cdfg.variables.items()
-        )),
-        tuple(sorted(
-            (name, str(type_)) for name, type_ in cdfg.memories.items()
-        )),
-    ))
-    return hashlib.sha256(payload.encode("utf-8")).hexdigest()
-
-
 @dataclass
 class CDFGDelta:
     """What changed between two compiles of (nearly) the same program.
 
     All lists hold block *names*.  ``unchanged`` blocks exist in both
     CDFGs with equal content digests — safe to replay per-block
-    results onto.  ``impacted`` is the def-use closure of the dirty
-    blocks in the new CDFG: blocks whose variable reads may observe a
-    value written in an edited block (the edited blocks themselves
-    included).  Impact never *blocks* reuse — an unchanged block's
-    replayed schedule is equally legal whatever data flows through it
-    — but it tells callers (and the differential verifier) where
-    changed values can propagate.
+    results onto; ``dirty`` blocks exist in both with different
+    content, ``added`` only in the new CDFG, ``removed`` only in the
+    old one.
     """
 
     unchanged: list[str] = field(default_factory=list)
     dirty: list[str] = field(default_factory=list)
     added: list[str] = field(default_factory=list)
     removed: list[str] = field(default_factory=list)
-    impacted: list[str] = field(default_factory=list)
-    structure_changed: bool = False
-
-    @property
-    def is_block_local(self) -> bool:
-        """True when the edit stayed inside existing blocks."""
-        return (not self.structure_changed and not self.added
-                and not self.removed)
-
-
-def impacted_blocks(cdfg: CDFG, dirty_names: set[str]) -> list[str]:
-    """Names of blocks the dirty blocks' writes may flow into."""
-    if not dirty_names:
-        return []
-    cfg = build_cfg(cdfg)
-    chains = def_use_chains(cdfg, cfg)
-    owner: dict[int, str] = {}
-    by_name: dict[str, BasicBlock] = {}
-    for block in cdfg.blocks():
-        by_name[block.name] = block
-        for op in block.ops:
-            owner[op.id] = block.name
-    impacted = set(dirty_names) & set(by_name)
-    frontier = list(impacted)
-    while frontier:
-        block = by_name[frontier.pop()]
-        for op in block.ops:
-            if op.kind is not OpKind.VAR_WRITE:
-                continue
-            for read_id in chains.uses_of.get(op.id, ()):
-                reader = owner.get(read_id)
-                if reader is not None and reader not in impacted:
-                    impacted.add(reader)
-                    frontier.append(reader)
-    return sorted(impacted)
 
 
 def diff_cdfgs(old: CDFG, new: CDFG) -> CDFGDelta:
     """Compare two compiled CDFGs block by block.
 
     ``old`` is typically a previously synthesized (and therefore
-    already optimized) template; ``new`` the fresh compile of the
-    edited source, optimized with the same pipeline so that unchanged
+    already transformed) template; ``new`` the fresh compile of the
+    edited source, transformed with the same pipeline so that unchanged
     program text yields byte-identical block content.
     """
     old_digests = cdfg_digests(old)
     new_digests = cdfg_digests(new)
-    delta = CDFGDelta(
-        structure_changed=structure_digest(old) != structure_digest(new)
-    )
+    delta = CDFGDelta()
     for name, digest in new_digests.items():
         if name not in old_digests:
             delta.added.append(name)
@@ -211,7 +117,4 @@ def diff_cdfgs(old: CDFG, new: CDFG) -> CDFGDelta:
     delta.removed = [
         name for name in old_digests if name not in new_digests
     ]
-    delta.impacted = impacted_blocks(
-        new, set(delta.dirty) | set(delta.added)
-    )
     return delta

@@ -4,6 +4,7 @@ from .design import SynthesizedDesign
 from .engine import (
     ALLOCATORS,
     SCHEDULERS,
+    ScheduleMemo,
     SynthesisCache,
     SynthesisOptions,
     clear_synthesis_cache,
@@ -25,6 +26,7 @@ __all__ = [
     "ALLOCATORS",
     "SCHEDULERS",
     "ResynthesisReport",
+    "ScheduleMemo",
     "SynthesisCache",
     "SynthesisOptions",
     "SynthesizedDesign",

@@ -26,8 +26,9 @@ from ..analysis.liveness import variable_liveness
 from ..binding import ComponentLibrary, ModuleBinder
 from ..controller.fsm import synthesize_fsm
 from ..datapath.plan import plan_block
-from ..errors import HLSError, SchedulingError
+from ..errors import HLSError
 from ..ir.cdfg import CDFG, IfRegion, LoopRegion
+from ..ir.values import BasicBlock
 from ..lang import compile_source
 from ..obs import (
     maybe_memory,
@@ -360,78 +361,66 @@ def _region_condition_values(cdfg: CDFG) -> dict[int, set[int]]:
     return conditions
 
 
-def synthesize_cdfg(cdfg: CDFG,
-                    options: SynthesisOptions | None = None,
-                    problem_cache: dict[int, SchedulingProblem] | None = None,
-                    schedule_hints: Mapping[str, tuple] | None = None,
-                    ) -> SynthesizedDesign:
-    """Run scheduling → allocation → binding → control on a CDFG.
+class ScheduleMemo:
+    """Per-block scheduling results of one CDFG, shared by many runs.
 
-    The CDFG is optimized in place when ``options.optimize_ir`` is set;
-    everything after that point only reads the CDFG.
+    ``problems`` holds each block's unconstrained
+    :class:`SchedulingProblem` by block id: its dependence graph and
+    structure memos are built once and re-targeted per run through
+    :meth:`SchedulingProblem.with_constraints`.  The memo also holds
+    validated schedules, keyed by block id, scheduler name, the
+    model's :meth:`~repro.scheduling.ResourceModel.cache_token` and
+    the sorted constraint limits; a model without a token is never
+    reused, as in the persistent store.
 
-    Args:
-        cdfg: the design to synthesize.
-        options: pipeline knobs.
-        problem_cache: optional block-id → :class:`SchedulingProblem`
-            memo for resynthesizing the *same* CDFG under different
-            resource constraints (the DSE fast path).  Each block's
-            dependence graph and derived memos are built once and
-            shared across runs via
-            :meth:`SchedulingProblem.with_constraints`.  Only valid
-            while the CDFG and resource model stay the same.
-        schedule_hints: block name → position-indexed start tuple (the
-            :meth:`~repro.scheduling.Schedule.signature` format) from a
-            previously synthesized design.  A hinted block skips the
-            scheduler: its start times are replayed onto the fresh
-            block and validated; a hint that no longer fits (different
-            op count, dependence or resource violation) silently falls
-            back to real scheduling.  Only pass hints for blocks whose
-            content is known unchanged — incremental re-synthesis
-            (:func:`repro.core.incremental.resynthesize`) derives them
-            from an :func:`~repro.analysis.impact.diff_cdfgs` delta.
+    A memo is bound to ``cdfg`` and to the one resource model its
+    problems were built with, and is valid only while the engine does
+    not transform that CDFG again: runs that pass it set
+    ``optimize_ir=False, narrow=False``.  It lives with its CDFG —
+    never process-global, never persisted, never pickled.
     """
-    options = options or SynthesisOptions()
-    with maybe_tracing(options.trace), maybe_memory(options.memory):
-        return _synthesize_cdfg(cdfg, options, problem_cache,
-                                schedule_hints)
 
+    __slots__ = ("cdfg", "problems", "_schedules")
 
-def _replay_schedule(problem: SchedulingProblem, hint: tuple,
-                     scheduler_name: str) -> Schedule | None:
-    """Rebuild a block's schedule from a position-indexed start tuple.
+    def __init__(self, cdfg: CDFG) -> None:
+        self.cdfg = cdfg
+        self.problems: dict[int, SchedulingProblem] = {}
+        self._schedules: dict[tuple, Schedule] = {}
 
-    Returns a validated :class:`Schedule`, or None when the hint does
-    not fit this problem (wrong op count / illegal under its
-    constraints) — the caller then runs the scheduler for real.
-    """
-    ops = problem.ops
-    start: dict[int, int] = {}
-    for index, begin in hint:
-        if not 0 <= index < len(ops):
-            metrics().counter("engine.blocks.replay_rejected").inc()
+    @staticmethod
+    def _key(block_id: int, scheduler: str, model: ResourceModel,
+             constraints: ResourceConstraints) -> tuple | None:
+        token = model.cache_token()
+        if token is None:
             return None
-        start[ops[index].id] = begin
-    if len(start) != len(ops):
-        metrics().counter("engine.blocks.replay_rejected").inc()
-        return None
-    schedule = Schedule(problem, start, scheduler=scheduler_name)
-    try:
-        schedule.validate()
-    except SchedulingError:
-        metrics().counter("engine.blocks.replay_rejected").inc()
-        return None
-    return schedule
+        return (block_id, scheduler, token,
+                tuple(sorted(constraints.limits.items())))
+
+    def get(self, block_id: int, scheduler: str, model: ResourceModel,
+            constraints: ResourceConstraints) -> Schedule | None:
+        """The schedule recorded for this block and these knobs."""
+        key = self._key(block_id, scheduler, model, constraints)
+        return None if key is None else self._schedules.get(key)
+
+    def put(self, block_id: int, scheduler: str,
+            schedule: Schedule) -> None:
+        """Record a validated schedule under its own problem's model
+        and constraints."""
+        problem = schedule.problem
+        key = self._key(block_id, scheduler, problem.model,
+                        problem.constraints)
+        if key is not None:
+            self._schedules[key] = schedule
 
 
-def _synthesize_cdfg(cdfg: CDFG, options: SynthesisOptions,
-                     problem_cache: dict[int, SchedulingProblem] | None,
-                     schedule_hints: Mapping[str, tuple] | None = None,
-                     ) -> SynthesizedDesign:
-    """The pipeline proper, with per-stage spans and metrics."""
-    model = options.model or UniversalFUModel()
-    constraints = options.constraints or ResourceConstraints.unlimited()
+def transform_cdfg(cdfg: CDFG, options: SynthesisOptions) -> list[str]:
+    """The transforms stage: run the IR optimizations the options ask
+    for, then range narrowing, on ``cdfg`` in place.
 
+    Returns the stage's log lines.  Every path that transforms a CDFG
+    before synthesizing it comes through here, so a compile-once
+    template and a per-run synthesis apply the same passes.
+    """
     log: list[str] = []
     if options.optimize_ir:
         with memory_span("transforms"):
@@ -447,9 +436,90 @@ def _synthesize_cdfg(cdfg: CDFG, options: SynthesisOptions,
         with memory_span("transforms"), trace_span("pass.range-narrow"):
             narrow_pass.run(cdfg)
         log.append(f"narrow: {narrow_pass.summary()}")
+    return log
 
-    scheduler_factory = SCHEDULERS.get(options.scheduler)
-    if scheduler_factory is None:
+
+def schedule_block(block: BasicBlock, scheduler: str,
+                   model: ResourceModel,
+                   constraints: ResourceConstraints,
+                   memo: ScheduleMemo | None = None,
+                   ) -> tuple[Schedule, bool]:
+    """The schedule step for one block: build its problem, run the
+    named scheduler and validate the result.
+
+    With a ``memo`` the block's problem comes from (and goes into)
+    ``memo.problems``, and the validated schedule is recorded.  A
+    schedule the memo already holds for these knobs is returned as is,
+    on its own problem, without scheduling or validating again.
+    Returns ``(schedule, reused)``; raises
+    :class:`~repro.errors.SchedulingError` when the scheduler cannot
+    meet the constraints.
+    """
+    if memo is not None:
+        schedule = memo.get(block.id, scheduler, model, constraints)
+        if schedule is not None:
+            return schedule, True
+        base = memo.problems.get(block.id)
+        if base is None:
+            base = SchedulingProblem.from_block(block, model)
+            memo.problems[block.id] = base
+        problem = base.with_constraints(constraints)
+    else:
+        problem = SchedulingProblem.from_block(block, model, constraints)
+    with trace_span("schedule", block=block.name,
+                    scheduler=scheduler) as span, \
+            memory_span("schedule"):
+        started = time.perf_counter()
+        schedule = SCHEDULERS[scheduler](problem).schedule()
+        elapsed_ms = (time.perf_counter() - started) * 1e3
+        schedule.validate()
+        span.set(steps=schedule.length)
+    metrics().counter("scheduler.invocations", scheduler=scheduler).inc()
+    metrics().histogram(
+        "scheduler.latency_ms", scheduler=scheduler
+    ).observe(elapsed_ms)
+    if memo is not None:
+        memo.put(block.id, scheduler, schedule)
+    return schedule, False
+
+
+def synthesize_cdfg(cdfg: CDFG,
+                    options: SynthesisOptions | None = None,
+                    memo: ScheduleMemo | None = None,
+                    ) -> SynthesizedDesign:
+    """Run scheduling → allocation → binding → control on a CDFG.
+
+    The CDFG is transformed in place first (:func:`transform_cdfg`);
+    everything after that point only reads the CDFG.
+
+    Args:
+        cdfg: the design to synthesize.
+        options: pipeline knobs.
+        memo: a :class:`ScheduleMemo` of ``cdfg`` to read and fill.
+            Each block's problem is built once and shared across runs
+            under different constraints (the DSE fast path), and a
+            block whose schedule the memo already holds for this run's
+            scheduler, model and constraints is not scheduled again
+            (funnel level 2's schedules, an incremental baseline's
+            replayed ones).  Only valid for a CDFG the run does not
+            transform: pass it with ``optimize_ir=False, narrow=False``.
+    """
+    options = options or SynthesisOptions()
+    if memo is not None and memo.cdfg is not cdfg:
+        raise HLSError("schedule memo belongs to a different CDFG")
+    with maybe_tracing(options.trace), maybe_memory(options.memory):
+        return _synthesize_cdfg(cdfg, options, memo)
+
+
+def _synthesize_cdfg(cdfg: CDFG, options: SynthesisOptions,
+                     memo: ScheduleMemo | None) -> SynthesizedDesign:
+    """The pipeline proper, with per-stage spans and metrics."""
+    model = options.model or UniversalFUModel()
+    constraints = options.constraints or ResourceConstraints.unlimited()
+
+    log = transform_cdfg(cdfg, options)
+
+    if options.scheduler not in SCHEDULERS:
         raise HLSError(f"unknown scheduler {options.scheduler!r}")
     allocator_factory = ALLOCATORS.get(options.allocator)
     if allocator_factory is None:
@@ -474,44 +544,12 @@ def _synthesize_cdfg(cdfg: CDFG, options: SynthesisOptions,
     for block in cdfg.blocks():
         if not block.ops:
             continue
-        if problem_cache is not None:
-            base_problem = problem_cache.get(block.id)
-            if base_problem is None:
-                base_problem = SchedulingProblem.from_block(block, model)
-                problem_cache[block.id] = base_problem
-            problem = base_problem.with_constraints(constraints)
-        else:
-            problem = SchedulingProblem.from_block(block, model, constraints)
-        problem.live_out = liveness.live_out[block.id]
-        schedule = None
-        replayed = False
-        hint = (schedule_hints.get(block.name)
-                if schedule_hints else None)
-        if hint is not None:
-            with trace_span("schedule", block=block.name,
-                            scheduler=options.scheduler,
-                            replayed=True) as span:
-                schedule = _replay_schedule(problem, hint,
-                                            options.scheduler)
-                if schedule is not None:
-                    replayed = True
-                    span.set(steps=schedule.length)
-                    metrics().counter("engine.blocks.replayed").inc()
-        if schedule is None:
-            with trace_span("schedule", block=block.name,
-                            scheduler=options.scheduler) as span, \
-                    memory_span("schedule"):
-                started = time.perf_counter()
-                schedule = scheduler_factory(problem).schedule()
-                elapsed_ms = (time.perf_counter() - started) * 1e3
-                schedule.validate()
-                span.set(steps=schedule.length)
-            metrics().counter(
-                "scheduler.invocations", scheduler=options.scheduler
-            ).inc()
-            metrics().histogram(
-                "scheduler.latency_ms", scheduler=options.scheduler
-            ).observe(elapsed_ms)
+        schedule, replayed = schedule_block(
+            block, options.scheduler, model, constraints, memo
+        )
+        schedule.problem.live_out = liveness.live_out[block.id]
+        if replayed:
+            metrics().counter("engine.blocks.replayed").inc()
         # Magnitude-class counters: deterministic shape signal for the
         # coverage fingerprint (repro.obs.coverage) — a constrained
         # schedule that stretches 4x or an allocation squeezed onto

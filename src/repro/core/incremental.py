@@ -1,18 +1,22 @@
 """Incremental re-synthesis: redo only what a source edit touched.
 
 The flow (ScaleHLS-style cheap re-evaluation, applied to the paper's
-pipeline): compile and optimize the edited source as usual, diff the
-resulting CDFG against the baseline design's CDFG with
-:func:`~repro.analysis.impact.diff_cdfgs`, then synthesize the new
-CDFG with *schedule hints* for every content-unchanged block — the
-engine replays the baseline's start times onto the fresh block
-(validating them against its dependences and constraints) instead of
-re-running the scheduler.  Dirty, added, and structurally shifted
-blocks are scheduled for real.  Allocation, binding, datapath and
-controller synthesis always re-run — they are deterministic functions
-of (CDFG, schedules) and fast compared to scheduling, and re-running
-them keeps the produced design indistinguishable from a full
-resynthesis.
+pipeline): compile the edited source and run the engine's transforms
+stage on it exactly as a full synthesis would (optimization, then
+range narrowing when asked), diff the resulting CDFG against the
+baseline design's CDFG with :func:`~repro.analysis.impact.diff_cdfgs`,
+then seed a :class:`~repro.core.engine.ScheduleMemo` of the new CDFG
+with the baseline's schedule of every content-unchanged block.  Each
+seed is rebuilt on the fresh block (start times carried over by op
+position) and validated under the baseline's own model and
+constraints, and recorded under the baseline's scheduler, model and
+constraints — so the engine takes it only when the run's options are
+the same.  Dirty and added blocks, and every block of a run under
+other options, are scheduled for real.  Allocation, binding, datapath
+and controller synthesis always re-run — they are deterministic
+functions of (CDFG, schedules) and fast compared to scheduling, and
+re-running them keeps the produced design indistinguishable from a
+full resynthesis.
 
 Replay is *provably safe* per block (the replayed schedule is
 re-validated) but exact output equality with a from-scratch run
@@ -30,18 +34,21 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 
 from ..analysis.impact import CDFGDelta, diff_cdfgs
-from ..errors import VerificationError
+from ..errors import SchedulingError, VerificationError
+from ..ir.values import BasicBlock
 from ..lang import compile_source
 from ..obs import metrics, trace_span
-from ..transforms import optimize
+from ..scheduling import Schedule, SchedulingProblem
 from .design import SynthesizedDesign
 from .engine import (
+    ScheduleMemo,
     SynthesisOptions,
     lookup_design,
     record_design,
     source_digest,
     synthesize,
     synthesize_cdfg,
+    transform_cdfg,
 )
 
 
@@ -84,6 +91,33 @@ def differential_verify(design: SynthesizedDesign, source: str,
     return True
 
 
+def _replay_schedule(block: BasicBlock, baseline: SynthesizedDesign,
+                     schedule: Schedule) -> Schedule | None:
+    """Rebuild a baseline schedule on ``block``'s fresh problem, under
+    the baseline's own model and constraints.
+
+    Start times carry over by op position (the
+    :meth:`~repro.scheduling.Schedule.signature` format).  Returns the
+    validated schedule, or None when it does not fit the block.
+    """
+    problem = SchedulingProblem.from_block(block, baseline.model,
+                                           baseline.constraints)
+    ops = problem.ops
+    start: dict[int, int] = {}
+    for index, begin in schedule.signature():
+        if not 0 <= index < len(ops):
+            return None
+        start[ops[index].id] = begin
+    if len(start) != len(ops):
+        return None
+    replayed = Schedule(problem, start, scheduler=baseline.scheduler_name)
+    try:
+        replayed.validate()
+    except SchedulingError:
+        return None
+    return replayed
+
+
 def resynthesize(baseline: SynthesizedDesign, source: str,
                  procedure: str | None = None,
                  options: SynthesisOptions | None = None,
@@ -91,12 +125,12 @@ def resynthesize(baseline: SynthesizedDesign, source: str,
     """Re-synthesize an edited ``source`` against a baseline design.
 
     Args:
-        baseline: a design previously synthesized **with the same
-            options** (scheduler, model, constraints…) from a close
+        baseline: a design previously synthesized from a close
             ancestor of ``source``; its per-block schedules seed the
-            replay.  A baseline built under different options is not
-            an error — its hints simply fail validation block by
-            block and everything is scheduled fresh.
+            replay.  They are recorded under the baseline's own
+            scheduler, model and constraints, so they are reused only
+            when ``options`` match them; a baseline built under other
+            options is not an error — every block is scheduled fresh.
         source: the edited BSL program text.
         procedure: entry procedure (default: last defined).
         options: pipeline knobs (default: baseline-compatible
@@ -108,52 +142,45 @@ def resynthesize(baseline: SynthesizedDesign, source: str,
     options = options or SynthesisOptions()
     with trace_span("resynthesize", procedure=procedure or "") as span:
         cdfg = compile_source(source, procedure)
-        if options.optimize_ir:
-            optimize(cdfg, unroll=options.unroll,
-                     tree_height=options.tree_height,
-                     if_conversion=options.if_conversion)
-        run_options = replace(options, optimize_ir=False)
+        transform_cdfg(cdfg, options)
         delta = diff_cdfgs(baseline.cdfg, cdfg)
-        baseline_ids = {
-            block.name: block.id for block in baseline.cdfg.blocks()
-        }
-        hints: dict[str, tuple] = {}
+        memo = ScheduleMemo(cdfg)
+        old_ids = {block.name: block.id for block in baseline.cdfg.blocks()}
+        new_blocks = {block.name: block for block in cdfg.blocks()}
+        seeds: dict[int, Schedule] = {}
         for name in delta.unchanged:
-            schedule = baseline.schedules.get(baseline_ids[name])
+            schedule = baseline.schedules.get(old_ids[name])
+            if schedule is None:
+                continue
+            block = new_blocks[name]
+            seed = _replay_schedule(block, baseline, schedule)
+            if seed is None:
+                metrics().counter("engine.blocks.replay_rejected").inc()
+                continue
+            memo.put(block.id, baseline.scheduler_name, seed)
+            seeds[block.id] = seed
+        design = synthesize_cdfg(
+            cdfg, replace(options, optimize_ir=False, narrow=False), memo
+        )
+        # A block was replayed iff the engine took its seed; a seed
+        # recorded under other options than this run's never is.
+        replayed: list[str] = []
+        scheduled: list[str] = []
+        for name, block in sorted(new_blocks.items()):
+            schedule = design.schedules.get(block.id)
             if schedule is not None:
-                hints[name] = schedule.signature()
-        replayed_before = metrics().counter(
-            "engine.blocks.replayed"
-        ).value
-        design = synthesize_cdfg(cdfg, run_options,
-                                 schedule_hints=hints)
-        replayed_count = metrics().counter(
-            "engine.blocks.replayed"
-        ).value - replayed_before
+                taken = seeds.get(block.id) is schedule
+                (replayed if taken else scheduled).append(name)
         metrics().counter("resynthesize.runs").inc()
         metrics().counter("resynthesize.blocks.dirty").inc(
             len(delta.dirty) + len(delta.added)
         )
-        span.set(dirty=len(delta.dirty), replayed=replayed_count)
-    # A hint can fail validation and fall back to real scheduling, so
-    # the replayed list is derived from schedules, not from the delta:
-    # a block was replayed iff its final schedule equals its hint.
-    block_names = {
-        block.id: block.name for block in cdfg.blocks()
-    }
-    replayed: list[str] = []
-    scheduled: list[str] = []
-    for block_id, schedule in design.schedules.items():
-        name = block_names.get(block_id, "?")
-        if name in hints and schedule.signature() == hints[name]:
-            replayed.append(name)
-        else:
-            scheduled.append(name)
+        span.set(dirty=len(delta.dirty), replayed=len(replayed))
     report = ResynthesisReport(
         design=design,
         delta=delta,
-        replayed_blocks=sorted(replayed),
-        scheduled_blocks=sorted(scheduled),
+        replayed_blocks=replayed,
+        scheduled_blocks=scheduled,
     )
     if verify:
         report.verified = differential_verify(design, source,

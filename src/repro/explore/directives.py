@@ -10,18 +10,25 @@ exhaustively would run the full synthesize+measure pipeline per cell.
 :func:`explore_directives` searches that cross-product through a
 ScaleHLS-style multi-level funnel instead:
 
-1. **Estimate** — each transform variant is compiled and optimized
+1. **Estimate** — each transform variant is compiled and transformed
    once into a template; structurally identical templates are deduped
    (a directive that does not fire produces the very same graph), and
    the cheap :class:`~repro.estimation.QoRModel` bounds prune
    (config, limit) cells whose estimate is dominated.
-2. **Schedule-only** — survivors get a real per-block schedule (no
-   allocation, binding, controller or simulation) and are pruned again
-   on (scheduled latency, estimated area).
+2. **Schedule-only** — survivors run the pipeline to the schedule
+   stage: the engine's :func:`~repro.core.engine.schedule_block` on
+   every block of the template, into the template's
+   :class:`~repro.core.engine.ScheduleMemo` (no allocation, binding,
+   controller or simulation).  They are pruned again on (scheduled
+   latency, estimated area); a cell whose scheduler cannot meet its
+   limit is dropped as ``schedule_failed``.
 3. **Full pipeline** — finalists run synthesize+measure through the
-   regular :class:`~repro.explore.dse._PointBuilder` machinery: the
-   two-tier design cache, measurement memoization, and — with
-   ``n_jobs > 1`` — the fault-tolerant :mod:`repro.exec` fan-out.
+   regular :class:`~repro.explore.dse._PointBuilder` machinery over
+   the same template and memo, so the full build reuses level 2's
+   schedules instead of making them again; then the two-tier design
+   cache, measurement memoization, and — with ``n_jobs > 1`` — the
+   fault-tolerant :mod:`repro.exec` fan-out (workers schedule on
+   their own templates).
 
 Pruning at levels 1–2 is *heuristic* (the area figure is not a bound,
 and estimates cannot see scheduler quality); ``prune_margin`` trades
@@ -35,7 +42,12 @@ import time
 from dataclasses import dataclass, field, replace
 from typing import Sequence
 
-from ..core.engine import SCHEDULERS, SynthesisOptions
+from ..core.engine import (
+    SCHEDULERS,
+    ScheduleMemo,
+    SynthesisOptions,
+    schedule_block,
+)
 from ..errors import HLSError, SchedulingError
 from ..estimation import DEFAULT_RANKING_TRIPS, QoRModel
 from ..ir.cdfg import (
@@ -407,7 +419,7 @@ def _run_funnel(source, limits, configs, resource_class, base, vectors,
             source, resource_class, config.apply(base), vectors,
             use_cache,
         )
-        signature = _cdfg_signature(builder._working_cdfg())
+        signature = _cdfg_signature(builder.template().cdfg)
         builders[transforms] = builder
         signature_of[transforms] = signature
         canonical.setdefault(signature, transforms)
@@ -436,7 +448,7 @@ def _run_funnel(source, limits, configs, resource_class, base, vectors,
     for (transforms, _, _), config in claimed.items():
         if transforms not in qor_models:
             qor_models[transforms] = QoRModel(
-                builders[transforms]._working_cdfg(),
+                builders[transforms].template().cdfg,
                 model=model, library=base.library,
                 ranking_trips=ranking_trips,
             )
@@ -462,27 +474,25 @@ def _run_funnel(source, limits, configs, resource_class, base, vectors,
             continue
         survivors.append(cell)
 
-    # ---- Level 2: schedule-only evaluation of the survivors.
+    # ---- Level 2: schedule-only evaluation of the survivors.  The
+    # schedules land in the template's memo, where level 3 finds them.
     metrics().counter("dse.configs.schedule_evaluated").inc(
         len(survivors)
     )
     scheduled: dict[tuple, float] = {}
     schedule_failed = 0
     finalists = []
-    failed_cells = []
     for config, transforms, limit in survivors:
-        builder = builders[transforms]
-        qor_model = qor_models[transforms]
         key = (transforms, limit, config.scheduler)
         if key not in scheduled:
-            scheduled[key] = _schedule_latency(
-                builder, qor_model, config.scheduler, resource_class,
-                limit, model,
+            scheduled[key] = _scheduled_latency(
+                builders[transforms].template(), qor_models[transforms],
+                config.scheduler, model,
+                ResourceConstraints({resource_class: limit}),
             )
         latency = scheduled[key]
         if latency is None:
             schedule_failed += 1
-            failed_cells.append((config, limit))
             continue
         finalists.append((config, transforms, limit, latency))
     level2 = [
@@ -507,16 +517,13 @@ def _run_funnel(source, limits, configs, resource_class, base, vectors,
     for config, transforms, limit in kept:
         by_config.setdefault(config, (transforms, []))[1].append(limit)
     for config, (transforms, config_limits) in by_config.items():
-        template_builder = builders[transforms]
+        # Each transform combination owns exactly one template: every
+        # config riding on it shares its CDFG and schedule memo.
         cfg_builder = _PointBuilder(
             source, resource_class, config.apply(base),
             shared_vectors, use_cache,
+            template=builders[transforms].template(),
         )
-        # Share the combo's compiled template and per-block problem
-        # structure — compile-once caching survives differing
-        # directives because each combo owns exactly one template.
-        cfg_builder._working = template_builder._working
-        cfg_builder._problem_cache = template_builder._problem_cache
         points, failures = _map_points(
             cfg_builder, config_limits, n_jobs, task_timeout_s
         )
@@ -544,34 +551,23 @@ def _run_funnel(source, limits, configs, resource_class, base, vectors,
     }
 
 
-def _schedule_latency(builder: _PointBuilder, qor_model: QoRModel,
-                      scheduler_name: str, resource_class: str,
-                      limit: int | None, model) -> float | None:
+def _scheduled_latency(memo: ScheduleMemo, qor_model: QoRModel,
+                       scheduler: str, model,
+                       constraints: ResourceConstraints) -> float | None:
     """Rank one (template, limit, scheduler) cell by scheduling every
-    block — no allocation, binding, controller or simulation.
+    block of the template through the engine's schedule step — no
+    allocation, binding, controller or simulation.
 
-    Problems land in the builder's ``problem_cache`` so the full
-    pipeline reuses the dependence graphs.  Returns None when the
-    scheduler cannot produce a legal schedule under the constraint
-    (e.g. ASAP under a resource limit).
+    Returns None when the scheduler cannot produce a legal schedule
+    under the constraint (e.g. ASAP under a resource limit).
     """
-    from ..scheduling import SchedulingProblem
-
-    cdfg = builder._working_cdfg()
-    constraints = ResourceConstraints({resource_class: limit})
-    factory = SCHEDULERS[scheduler_name]
     lengths: dict[int, int] = {}
-    for block in cdfg.blocks():
+    for block in memo.cdfg.blocks():
         if not block.ops:
             continue
-        problem = builder._problem_cache.get(block.id)
-        if problem is None:
-            problem = SchedulingProblem.from_block(block, model)
-            builder._problem_cache[block.id] = problem
-        constrained = problem.with_constraints(constraints)
         try:
-            schedule = factory(constrained).schedule()
-            schedule.validate()
+            schedule, _ = schedule_block(block, scheduler, model,
+                                         constraints, memo)
         except (SchedulingError, HLSError):
             return None
         lengths[block.id] = schedule.length

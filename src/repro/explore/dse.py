@@ -13,11 +13,14 @@ simulation), and reports the Pareto-optimal set.
 
 Exploration is built for "a reasonable amount of time":
 
-* behavioral source is compiled and IR-optimized **once** per sweep;
-  every point then synthesizes against the shared CDFG (the pipeline
-  only reads it after optimization) while per-block scheduling
-  structure is reused across resource budgets — parallel workers do
-  the same against one template per process
+* behavioral source is compiled and transformed **once** per sweep
+  (the engine's :func:`~repro.core.engine.transform_cdfg`); every
+  point then synthesizes against the shared CDFG (the pipeline only
+  reads it after the transforms stage) with the template's
+  :class:`~repro.core.engine.ScheduleMemo`, so per-block scheduling
+  structure is built once across resource budgets and a schedule
+  already made for a point's knobs is not made again — parallel
+  workers compile one template per process
   (:mod:`repro.explore.parallel`);
 * synthesized designs are memoized in the two-tier design cache
   (:func:`~repro.core.engine.lookup_design`: the process-global LRU,
@@ -40,11 +43,13 @@ from typing import Callable, Sequence
 
 from ..core.design import SynthesizedDesign
 from ..core.engine import (
+    ScheduleMemo,
     SynthesisOptions,
     lookup_design,
     record_design,
     source_digest,
     synthesize_cdfg,
+    transform_cdfg,
 )
 from ..estimation import estimate_area, estimate_timing
 from ..ir.cdfg import CDFG
@@ -59,7 +64,6 @@ from ..obs import ledger as run_ledger
 from ..scheduling import ResourceConstraints
 from ..sim.equivalence import default_vectors
 from ..sim.rtl_sim import RTLSimulator
-from ..transforms import optimize
 
 
 @dataclass
@@ -178,14 +182,17 @@ class _PointBuilder:
     """Synthesizes and measures one design point per resource limit.
 
     For string sources the behavioral program is compiled **and
-    optimized once**; every point synthesizes against that shared CDFG
-    (the pipeline after IR optimization only reads it — changing the
-    constraint cannot change the graph) and reuses per-block
-    :class:`~repro.scheduling.SchedulingProblem` structure via the
-    engine's ``problem_cache``.  Synthesized designs additionally go
-    through the process-global synthesis cache, and measurements are
-    memoized per distinct design.  Factory callables are invoked per
-    point, exactly as before (the factory owns freshness).
+    transformed once** into a template; every point synthesizes
+    against that shared CDFG (the pipeline after the transforms stage
+    only reads it — changing the constraint cannot change the graph)
+    with the template's :class:`~repro.core.engine.ScheduleMemo`, so
+    per-block scheduling structure is built once and a schedule already
+    made for a point's knobs is reused.  Builders that differ only in
+    scheduler or allocator can share one template: pass another
+    builder's :meth:`template` as ``template``.  Synthesized designs
+    additionally go through the two-tier design cache, and measurements
+    are memoized per distinct design.  Factory callables are invoked
+    per point, exactly as before (the factory owns freshness).
     """
 
     def __init__(
@@ -195,6 +202,7 @@ class _PointBuilder:
         options: SynthesisOptions | None,
         vectors: Sequence[dict] | None,
         use_cache: bool = True,
+        template: ScheduleMemo | None = None,
     ) -> None:
         self.source_or_factory = source_or_factory
         self.resource_class = resource_class
@@ -206,37 +214,24 @@ class _PointBuilder:
             if isinstance(source_or_factory, str)
             else None
         )
-        self._working: CDFG | None = None
-        self._problem_cache: dict = {}
+        self._template = template
         self._measure_memo: dict[tuple, tuple[int, float, float]] = {}
 
-    def _working_cdfg(self) -> CDFG:
-        """The compiled-and-optimized CDFG shared by every point.
+    def template(self) -> ScheduleMemo:
+        """The schedule memo of the compiled-and-transformed CDFG
+        (``.cdfg``) shared by every point (string sources only).
 
-        Range narrowing is hoisted here as well: like ``optimize()``,
-        it is constraint-independent, so running it once on the shared
+        Range narrowing runs here with the IR optimizations: both are
+        constraint-independent, so running them once on the shared
         CDFG (instead of once per point, mutating the graph every
         point re-synthesizes) keeps the sweep identical to per-point
         full synthesis.
         """
-        if self._working is None:
-            self._working = compile_source(self.source_or_factory)
-            if self.base.optimize_ir:
-                optimize(
-                    self._working,
-                    unroll=self.base.unroll,
-                    tree_height=self.base.tree_height,
-                    if_conversion=self.base.if_conversion,
-                )
-            if self.base.narrow:
-                from ..transforms.narrow import RangeNarrowing
-
-                assume = {
-                    name: (lo, hi)
-                    for name, lo, hi in self.base.assume_ranges
-                }
-                RangeNarrowing(assume=assume).run(self._working)
-        return self._working
+        if self._template is None:
+            cdfg = compile_source(self.source_or_factory)
+            transform_cdfg(cdfg, self.base)
+            self._template = ScheduleMemo(cdfg)
+        return self._template
 
     def build(self, limit: int) -> DesignPoint:
         with trace_span("dse.point", resource=self.resource_class,
@@ -260,7 +255,7 @@ class _PointBuilder:
                 name: (lo, hi) for name, lo, hi in self.base.assume_ranges
             }
             self.vectors = default_vectors(
-                self._working_cdfg(), count=4, assume=assume or None
+                self.template().cdfg, count=4, assume=assume or None
             )
 
     def _build(self, limit: int) -> DesignPoint:
@@ -276,15 +271,13 @@ class _PointBuilder:
             design = lookup_design(self._digest, None, point_options)
         if design is None:
             if isinstance(self.source_or_factory, str):
-                # IR optimization and narrowing already ran once on the
-                # shared CDFG (cache keys still carry the requested
-                # knobs — point_options is keyed *before* this strip).
+                # The transforms stage already ran once on the shared
+                # CDFG (cache keys still carry the requested knobs —
+                # point_options is keyed *before* this strip).
+                memo = self.template()
                 run_options = replace(point_options, optimize_ir=False,
                                       narrow=False)
-                design = synthesize_cdfg(
-                    self._working_cdfg(), run_options,
-                    problem_cache=self._problem_cache,
-                )
+                design = synthesize_cdfg(memo.cdfg, run_options, memo)
             else:
                 design = synthesize_cdfg(
                     self.source_or_factory(), point_options

@@ -4,10 +4,10 @@
 in a reasonable amount of time" — is embarrassingly parallel across
 resource limits: each design point is an independent synthesis run.
 :class:`ParallelExplorer` distributes points over a process pool via
-the fault-tolerant :mod:`repro.exec` runtime; each worker compiles a
-behavioral source at most once (a per-process template memo keyed by
-source digest plus every graph-shaping option knob) and synthesizes
-every point against that shared CDFG, mirroring the serial
+the fault-tolerant :mod:`repro.exec` runtime; each worker compiles and
+transforms a behavioral source at most once (a per-process template
+memo keyed by source digest plus every graph-shaping option knob) and
+synthesizes every point against that shared CDFG, mirroring the serial
 compile-once path, so the resulting points are identical to a serial
 sweep.
 
@@ -34,7 +34,7 @@ import pickle
 from dataclasses import replace
 from typing import Sequence
 
-from ..core.engine import synthesize_cdfg
+from ..core.engine import synthesize_cdfg, transform_cdfg
 from ..estimation import estimate_area, estimate_timing
 from ..exec import TaskFailure, default_timeout_s, run_tasks
 from ..ir.cdfg import CDFG
@@ -49,7 +49,6 @@ from ..obs import (
 )
 from ..scheduling import ResourceConstraints
 from ..store import DesignStore, active_store, store_key
-from ..transforms import optimize
 from .dse import DesignPoint, _PointBuilder, measure_cycles
 
 #: Per-worker-process compiled templates, keyed by source digest plus
@@ -129,23 +128,12 @@ def _build_point(payload: dict) -> DesignPoint:
             template = _WORKER_TEMPLATES.get(template_key)
             if template is None:
                 template = compile_source(source)
-                if options.optimize_ir:
-                    optimize(template, unroll=options.unroll,
-                             tree_height=options.tree_height,
-                             if_conversion=options.if_conversion)
-                if options.narrow:
-                    from ..transforms.narrow import RangeNarrowing
-
-                    assume = {
-                        name: (lo, hi)
-                        for name, lo, hi in options.assume_ranges
-                    }
-                    RangeNarrowing(assume=assume).run(template)
+                transform_cdfg(template, options)
                 _WORKER_TEMPLATES[template_key] = template
-            # The memoized template is already optimized and narrowed.
-            # Synthesize it directly, exactly like the serial
-            # compile-once path: the pipeline only reads the CDFG after
-            # IR optimization, and a clone would renumber op ids —
+            # The memoized template is already transformed.  Synthesize
+            # it directly, exactly like the serial compile-once path:
+            # the pipeline only reads the CDFG after the transforms
+            # stage, and a clone would renumber op ids —
             # scheduler tie-breaking follows id order, so a cloned
             # graph can legally schedule differently and break the
             # points-identical-to-serial contract (tree-height graphs

@@ -69,6 +69,16 @@ class TestCLI:
         err = capsys.readouterr().err
         assert err.startswith("error: unit limit for class 'fu'")
 
+    @pytest.mark.parametrize("limits,bad", [
+        ("", ""), ("1,x", "x"), ("1,,2", ""),
+    ], ids=["empty", "word", "empty-item"])
+    def test_malformed_limits_are_reported(self, sqrt_file, capsys,
+                                           limits, bad):
+        assert main(["explore", sqrt_file, "--limits", limits]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: --limits item {bad!r} is not an "
+                              f"integer")
+
     def test_scheduler_choice_respected(self, sqrt_file, capsys):
         assert main([
             "synth", sqrt_file, "--fu", "2", "--scheduler", "asap",

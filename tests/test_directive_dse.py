@@ -11,7 +11,7 @@ loops unrolling to an empty sequence.
 import pytest
 
 from repro.core import clear_synthesis_cache, synthesize
-from repro.core.engine import SynthesisOptions
+from repro.core.engine import ScheduleMemo, SynthesisOptions, synthesize_cdfg
 from repro.estimation import QoRModel
 from repro.explore import (
     DirectiveConfig,
@@ -27,7 +27,8 @@ from repro.lang import compile_source
 from repro.obs import ledger as run_ledger
 from repro.obs import metrics
 from repro.obs.regression import compare
-from repro.scheduling import ResourceConstraints
+from repro.rtl import emit_verilog
+from repro.scheduling import ResourceConstraints, Schedule
 from repro.sim.equivalence import check_behavioral_equivalence
 from repro.transforms import LoopUnrolling, clone_cdfg, optimize
 from repro.verify import run_differential
@@ -236,6 +237,58 @@ class TestDirectiveFunnel:
                 <= strict.funnel["estimate_pruned"])
         assert (lenient.funnel["configs_evaluated"]
                 >= strict.funnel["configs_evaluated"])
+
+
+def _funnel(estimate_pruned, evaluated):
+    return {
+        "configs": 16, "limits": 3, "exhaustive": 48,
+        "duplicates_pruned": 36, "estimate_pruned": estimate_pruned,
+        "schedule_pruned": 0, "schedule_failed": 0,
+        "configs_evaluated": evaluated,
+        "configs_pruned": 36 + estimate_pruned,
+    }
+
+
+@pytest.mark.parametrize("source,schedules,funnel", [
+    (SQRT_SOURCE, 18, _funnel(6, 6)),
+    (DIFFEQ_SOURCE, 40, _funnel(2, 10)),
+    (fir_source(8), 48, _funnel(6, 6)),
+], ids=["sqrt", "diffeq", "fir8"])
+def test_one_schedule_per_funnel_cell(monkeypatch, source, schedules,
+                                      funnel):
+    """Level 3 builds on the schedules level 2 made: every block of a
+    surviving (template, limit, scheduler) cell is scheduled and
+    validated once per sweep, not once per level, and the points are
+    exactly what a from-scratch synthesis of each cell makes."""
+    validated = []
+    original = Schedule.validate
+
+    def counted(schedule):
+        validated.append(schedule)
+        return original(schedule)
+
+    monkeypatch.setattr(Schedule, "validate", counted)
+    result = explore_directives(source, [1, 2, 3], use_cache=False)
+    monkeypatch.undo()
+    assert len(validated) == schedules
+    assert result.funnel == funnel
+    assert len(result.points) == funnel["configs_evaluated"]
+    for point in result.points:
+        options = point.config.apply(SynthesisOptions()).with_constraints(
+            point.constraints
+        )
+        full = synthesize(source, options=options)
+        assert point.design.stage_signatures() == full.stage_signatures()
+        assert emit_verilog(point.design) == emit_verilog(full)
+
+
+def test_schedule_memo_is_bound_to_its_cdfg():
+    """Block ids are per CDFG, so a memo of another graph would hand
+    out its problems and schedules: the engine refuses it."""
+    memo = ScheduleMemo(compile_source(SQRT_SOURCE))
+    with pytest.raises(HLSError, match="different CDFG"):
+        synthesize_cdfg(compile_source(SQRT_SOURCE),
+                        SynthesisOptions(optimize_ir=False), memo)
 
 
 def test_directive_regression_families():

@@ -11,12 +11,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.analysis import (
-    block_digest,
-    cdfg_digests,
-    diff_cdfgs,
-    structure_digest,
-)
+from repro.analysis import block_digest, cdfg_digests, diff_cdfgs
 from repro.core import (
     SynthesisOptions,
     resynthesize,
@@ -69,8 +64,6 @@ def test_block_digests_stable_across_recompiles():
     first = cdfg_digests(_compiled(BASE))
     second = cdfg_digests(_compiled(BASE))
     assert first == second
-    assert structure_digest(_compiled(BASE)) \
-        == structure_digest(_compiled(BASE))
 
 
 def test_block_digest_is_position_based_not_id_based():
@@ -88,13 +81,9 @@ def test_block_digest_is_position_based_not_id_based():
 
 def test_diff_detects_single_dirty_block():
     delta = diff_cdfgs(_compiled(BASE), _compiled(EDITED))
-    assert delta.is_block_local
     assert len(delta.dirty) == 1
     assert len(delta.unchanged) >= 3
     assert not delta.added and not delta.removed
-    # The edited epilogue only writes the output port, so the impact
-    # closure is the dirty block itself.
-    assert delta.impacted == delta.dirty
 
 
 def test_diff_flags_structural_edits():
@@ -104,15 +93,13 @@ def test_diff_flags_structural_edits():
         "  y := p + 0.5;",
     )
     delta = diff_cdfgs(_compiled(BASE), _compiled(added_loop))
-    assert delta.structure_changed
-    assert not delta.is_block_local
+    # The new loop shifts the block names after it: they are added.
+    assert delta.added
 
 
 def test_identical_sources_diff_clean():
     delta = diff_cdfgs(_compiled(BASE), _compiled(BASE))
     assert not delta.dirty and not delta.added and not delta.removed
-    assert not delta.structure_changed
-    assert delta.impacted == []
 
 
 # ----------------------------------------------------------------------
@@ -162,16 +149,87 @@ def test_structural_edit_still_correct():
     report = resynthesize(baseline, edited, options=OPTIONS,
                           verify=True)
     assert report.verified is True
-    assert report.delta.structure_changed
 
 
-def test_mismatched_baseline_options_fall_back_cleanly():
-    """Hints from a baseline built under different constraints fail
-    validation per block and everything is scheduled fresh — never an
-    error, never a wrong design."""
-    loose = synthesize(BASE, options=SynthesisOptions())  # unlimited
-    report = resynthesize(loose, EDITED, options=OPTIONS, verify=True)
+#: A program whose first block has enough parallel work that list and
+#: force-directed scheduling place it differently at four FUs, and
+#: that two FUs schedule differently from unlimited ones.
+WIDE_SOURCE = """
+procedure wide(input x: fixed<32,16>; input a: fixed<32,16>;
+               output y: fixed<32,16>);
+var t1, t2, t3, t4, p: fixed<32,16>;
+begin
+  t1 := x * x + a * 3.0;
+  t2 := (x + a) * (x - a);
+  t3 := t1 * t2 + x * 0.5;
+  t4 := t3 * a + (t1 - t2) * (t1 + t2);
+  p := t4 + t3 * x;
+  while p < a do
+  begin
+    p := p + t1 * 0.125;
+  end;
+  y := p + {c};
+end
+"""
+
+FU4 = ResourceConstraints({"fu": 4})
+
+
+@pytest.mark.parametrize("baseline_options,options", [
+    (SynthesisOptions(), OPTIONS),
+    (SynthesisOptions(scheduler="list", constraints=FU4),
+     SynthesisOptions(scheduler="force-directed", constraints=FU4)),
+    (SynthesisOptions(scheduler="force-directed", constraints=FU4),
+     SynthesisOptions(scheduler="list", constraints=FU4)),
+], ids=["constraints", "list-to-force-directed", "force-directed-to-list"])
+def test_mismatched_baseline_options_fall_back_cleanly(baseline_options,
+                                                      options):
+    """A baseline built under other constraints or another scheduler
+    replays nothing: every block is scheduled fresh — never an error,
+    never a design that differs from full synthesis."""
+    base, edited = WIDE_SOURCE.format(c="0.5"), WIDE_SOURCE.format(c="0.25")
+    baseline = synthesize(base, options=baseline_options)
+    assert baseline.stage_signatures()["scheduling"] \
+        != synthesize(base, options=options).stage_signatures()["scheduling"]
+    report = resynthesize(baseline, edited, options=options, verify=True)
     assert report.verified is True
+    assert report.replayed_blocks == []
+    assert metrics().counter("engine.blocks.replayed").value == 0
+
+
+#: ``PIPE_SOURCE`` in 16-bit integers, for range narrowing.
+INT_SOURCE = """
+procedure pipe16(input x: int<16>; input a: int<16>; output y: int<16>);
+var t1, t2, t3, p: int<16>;
+begin
+  t1 := x * x + 3 * x;
+  t2 := t1 * x - 2 * t1;
+  t3 := t2 + t1 * 5;
+  p := t3 + t2;
+  while p < a do
+  begin
+    p := p + t1 + 1;
+  end;
+  y := p + {c};
+end
+"""
+
+
+def test_narrowed_edit_replays_unchanged_blocks():
+    """The edited program is narrowed before it is diffed, like the
+    baseline was, so narrowing does not make every block dirty."""
+    options = SynthesisOptions(
+        constraints=ResourceConstraints({"fu": 2}), narrow=True,
+        assume_ranges=(("x", 0, 7), ("a", 0, 200)),
+    )
+    baseline = synthesize(INT_SOURCE.format(c="1"), options=options)
+    edited = INT_SOURCE.format(c="2")
+    report = resynthesize(baseline, edited, options=options, verify=True)
+    assert report.verified is True
+    assert len(report.delta.unchanged) == 3
+    assert report.replayed_blocks == report.delta.unchanged
+    assert report.design.stage_signatures() \
+        == synthesize(edited, options=options).stage_signatures()
 
 
 def test_resynthesize_from_cache_uses_the_store(tmp_path):
