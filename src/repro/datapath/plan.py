@@ -76,16 +76,22 @@ class BlockPlan:
     starts: list[list[Operation]] = field(default_factory=list)
     latches: list[Latch] = field(default_factory=list)
     memory_writes: list[MemoryWrite] = field(default_factory=list)
+    #: ``latches`` and ``memory_writes`` grouped by step, each group in
+    #: list order; the emitters and the RTL simulator read one step at
+    #: a time.
+    latches_by_step: dict[int, list[Latch]] = field(default_factory=dict)
+    memory_writes_by_step: dict[int, list[MemoryWrite]] = field(
+        default_factory=dict)
 
     @property
     def steps(self) -> int:
         return max(len(self.starts), 1) if self.block.ops else 0
 
     def latches_at(self, step: int) -> list[Latch]:
-        return [latch for latch in self.latches if latch.step == step]
+        return self.latches_by_step.get(step, [])
 
     def memory_writes_at(self, step: int) -> list[MemoryWrite]:
-        return [mw for mw in self.memory_writes if mw.step == step]
+        return self.memory_writes_by_step.get(step, [])
 
 
 def plan_block(block: BasicBlock, schedule: Schedule,
@@ -204,6 +210,10 @@ def plan_block(block: BasicBlock, schedule: Schedule,
             plan.memory_writes.append(
                 MemoryWrite(op.attrs["memory"], op, schedule.end(op.id))
             )
+    for latch in plan.latches:
+        plan.latches_by_step.setdefault(latch.step, []).append(latch)
+    for write in plan.memory_writes:
+        plan.memory_writes_by_step.setdefault(write.step, []).append(write)
     return plan
 
 
@@ -237,13 +247,16 @@ def _prune_redundant_temp_latches(
 ) -> list[Latch]:
     """Drop temp latches for values whose every read is served by the
     wire or by the variable register they are written back to."""
+    # Per value, its earliest variable latch (the first one in list
+    # order among those at that step).
     var_latch_step: dict[int, int] = {}
+    var_latch_target: dict[int, StorageRef] = {}
     for latch in plan.latches:
         if latch.target[0] == "var":
             step = var_latch_step.get(latch.value.id)
-            var_latch_step[latch.value.id] = (
-                latch.step if step is None else min(step, latch.step)
-            )
+            if step is None or latch.step < step:
+                var_latch_step[latch.value.id] = latch.step
+                var_latch_target[latch.value.id] = latch.target
 
     kept: list[Latch] = []
     for latch in plan.latches:
@@ -262,13 +275,8 @@ def _prune_redundant_temp_latches(
             and len(var_latch_step) > 0
         ):
             # Readers can use the variable register instead.
-            target_var = next(
-                l.target
-                for l in plan.latches
-                if l.target[0] == "var" and l.value.id == latch.value.id
-                and l.step == var_step
-            )
-            plan.storage_of[latch.value.id] = target_var
+            plan.storage_of[latch.value.id] = (
+                var_latch_target[latch.value.id])
             continue
         kept.append(latch)
     return kept

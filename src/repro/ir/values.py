@@ -238,9 +238,17 @@ class BasicBlock:
     def validate(self) -> None:
         """Check block-local IR invariants; raise :class:`IRError`."""
         seen: set[int] = set()
+        # Use entries per operand value, by op identity: one pass over
+        # each value's uses, however many ops in the block read it.
+        use_entries: dict[int, set[tuple[int, int]]] = {}
         for op in self.ops:
             for index, value in enumerate(op.operands):
-                if (op, index) not in value.uses:
+                entries = use_entries.get(id(value))
+                if entries is None:
+                    entries = use_entries[id(value)] = {
+                        (id(user), position) for user, position in value.uses
+                    }
+                if (id(op), index) not in entries:
                     raise IRError(f"{op!r} operand {index} missing from uses")
                 if value.producer.block is self and value.producer.id not in seen:
                     raise IRError(

@@ -4,13 +4,12 @@
 """
 
 from . import ast
-from .lexer import Lexer, tokenize
+from .lexer import tokenize
 from .parser import Parser, parse
 from .semantics import Lowerer, compile_source
 from .tokens import Token, TokenKind
 
 __all__ = [
-    "Lexer",
     "Lowerer",
     "Parser",
     "Token",

@@ -1,32 +1,35 @@
-"""Hand-written lexer for the behavioral specification language.
+"""Regular-expression lexer for the behavioral specification language.
 
 Comments run from ``--`` to end of line (the Ada style the paper's
 systems used) or are enclosed in ``{ }`` (Pascal style).  Identifiers
 are ASCII ``[A-Za-z_][A-Za-z0-9_]*`` — they reach the emitted Verilog
 and VHDL as port, register and state names — and case-sensitive;
-keywords are lowercase.
+keywords are lowercase.  Number literals take any decimal digit
+(``str.isdecimal()``, which is what ``\\d`` matches in a ``str``
+pattern), with an optional ``.digits`` fraction.
+
+One compiled pattern matches the whole input left to right: a trivia
+group (whitespace and both comment forms), identifiers, numbers and
+operators (two-character operators before one-character ones), and a
+last one-character group that only an error reaches.  Lines and
+columns come from match offsets; every character, tab and carriage
+return included, is one column wide.
 """
 
 from __future__ import annotations
 
-import string
+import re
 
 from ..errors import LexError, SourceLocation
 from .tokens import KEYWORDS, Token, TokenKind
 
-_TWO_CHAR = {
+_OPERATORS = {
     ":=": TokenKind.ASSIGN,
     "<<": TokenKind.SHL,
     ">>": TokenKind.SHR,
     "<=": TokenKind.LE,
     ">=": TokenKind.GE,
     "/=": TokenKind.NE,
-}
-
-_IDENT_START = frozenset(string.ascii_letters + "_")
-_IDENT_CHARS = _IDENT_START | frozenset(string.digits)
-
-_ONE_CHAR = {
     "(": TokenKind.LPAREN,
     ")": TokenKind.RPAREN,
     "[": TokenKind.LBRACKET,
@@ -47,104 +50,47 @@ _ONE_CHAR = {
     ">": TokenKind.GT,
 }
 
+# Group numbers (``match.lastindex``) of the token pattern.
+_TRIVIA, _IDENT, _NUMBER, _OPERATOR = range(1, 5)
 
-class Lexer:
-    """Converts source text into a token stream."""
-
-    def __init__(self, source: str) -> None:
-        self._source = source
-        self._pos = 0
-        self._line = 1
-        self._column = 1
-
-    def tokenize(self) -> list[Token]:
-        """Lex the whole input; the final token is always EOF."""
-        tokens: list[Token] = []
-        while True:
-            token = self._next_token()
-            tokens.append(token)
-            if token.kind is TokenKind.EOF:
-                return tokens
-
-    # ------------------------------------------------------------------
-
-    def _location(self) -> SourceLocation:
-        return SourceLocation(self._line, self._column)
-
-    def _peek(self, offset: int = 0) -> str:
-        index = self._pos + offset
-        return self._source[index] if index < len(self._source) else ""
-
-    def _advance(self, count: int = 1) -> None:
-        for _ in range(count):
-            if self._pos < len(self._source):
-                if self._source[self._pos] == "\n":
-                    self._line += 1
-                    self._column = 1
-                else:
-                    self._column += 1
-                self._pos += 1
-
-    def _skip_trivia(self) -> None:
-        while True:
-            char = self._peek()
-            if char and char in " \t\r\n":
-                self._advance()
-            elif char == "-" and self._peek(1) == "-":
-                while self._peek() not in ("", "\n"):
-                    self._advance()
-            elif char == "{":
-                start = self._location()
-                while self._peek() not in ("", "}"):
-                    self._advance()
-                if self._peek() != "}":
-                    raise LexError("unterminated { comment", start)
-                self._advance()
-            else:
-                return
-
-    def _next_token(self) -> Token:
-        self._skip_trivia()
-        location = self._location()
-        char = self._peek()
-        if char == "":
-            return Token(TokenKind.EOF, "", location)
-        if char in _IDENT_START:
-            return self._identifier(location)
-        if char.isdecimal():
-            return self._number(location)
-        two = char + self._peek(1)
-        if two in _TWO_CHAR:
-            self._advance(2)
-            return Token(_TWO_CHAR[two], two, location)
-        if char in _ONE_CHAR:
-            self._advance()
-            return Token(_ONE_CHAR[char], char, location)
-        raise LexError(f"unexpected character {char!r}", location)
-
-    def _identifier(self, location: SourceLocation) -> Token:
-        start = self._pos
-        while self._peek() in _IDENT_CHARS:
-            self._advance()
-        text = self._source[start:self._pos]
-        kind = KEYWORDS.get(text, TokenKind.IDENT)
-        return Token(kind, text, location)
-
-    def _number(self, location: SourceLocation) -> Token:
-        start = self._pos
-        while self._peek().isdecimal():
-            self._advance()
-        is_real = False
-        if self._peek() == "." and self._peek(1).isdecimal():
-            is_real = True
-            self._advance()
-            while self._peek().isdecimal():
-                self._advance()
-        text = self._source[start:self._pos]
-        kind = TokenKind.REAL if is_real else TokenKind.INT
-        return Token(kind, text, location)
+_TOKEN = re.compile(
+    r"((?:[ \t\r\n]+|--[^\n]*|\{[^}]*\})+)"  # trivia
+    r"|([A-Za-z_][A-Za-z0-9_]*)"  # identifier or keyword
+    r"|(\d+(?:\.\d+)?)"  # integer or real literal
+    r"|(:=|<<|>>|<=|>=|/=|[()\[\],:;+\-*/&|^~=<>])"  # operator
+    r"|(.)",  # anything else: an error
+    re.DOTALL,
+)
 
 
 def tokenize(source: str) -> list[Token]:
-    """Convenience wrapper: lex ``source`` into tokens."""
-    return Lexer(source).tokenize()
+    """Lex ``source`` into tokens; the final token is always EOF."""
+    tokens: list[Token] = []
+    append = tokens.append
+    line = 1
+    line_start = 0  # offset of the current line's first character
+    for match in _TOKEN.finditer(source):
+        group = match.lastindex
+        text = match.group()
+        if group == _TRIVIA:
+            newlines = text.count("\n")
+            if newlines:
+                line += newlines
+                line_start = match.start() + text.rindex("\n") + 1
+            continue
+        location = SourceLocation(line, match.start() - line_start + 1)
+        if group == _IDENT:
+            append(Token(KEYWORDS.get(text, TokenKind.IDENT), text,
+                         location))
+        elif group == _NUMBER:
+            kind = TokenKind.REAL if "." in text else TokenKind.INT
+            append(Token(kind, text, location))
+        elif group == _OPERATOR:
+            append(Token(_OPERATORS[text], text, location))
+        elif text == "{":
+            raise LexError("unterminated { comment", location)
+        else:
+            raise LexError(f"unexpected character {text!r}", location)
+    append(Token(TokenKind.EOF, "",
+                 SourceLocation(line, len(source) - line_start + 1)))
+    return tokens

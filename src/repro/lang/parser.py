@@ -1,4 +1,9 @@
-"""Recursive-descent parser for the behavioral specification language.
+"""Parser for the behavioral specification language.
+
+Declarations and statements are parsed by recursive descent,
+expressions by precedence climbing: one loop per operand over a single
+table of binary operator levels, so a flat chain such as
+``a0 + a1 + … + an`` costs no recursion per operator.
 
 Grammar (EBNF, ``;`` separators Pascal-style):
 
@@ -27,6 +32,13 @@ Grammar (EBNF, ``;`` separators Pascal-style):
 
 Expression precedence, loosest first: ``or``; ``and``; ``not``;
 comparisons; ``+ - | ^``; ``* / mod & << >>``; unary ``- ~``; primary.
+Binary operators associate to the left; comparisons do not chain, and
+``not`` takes a comparison (or another ``not``) as its operand.
+
+Parentheses, index expressions, unary prefixes and compound statements
+still recurse, here and in every later walk of the tree, so nesting
+them deeper than :data:`MAX_NESTING` levels is a :class:`ParseError`
+at the token that opens the extra level.
 """
 
 from __future__ import annotations
@@ -39,30 +51,39 @@ from . import ast
 from .lexer import tokenize
 from .tokens import Token, TokenKind
 
-_COMPARISONS = {
-    TokenKind.EQ: "=",
-    TokenKind.NE: "/=",
-    TokenKind.LT: "<",
-    TokenKind.LE: "<=",
-    TokenKind.GT: ">",
-    TokenKind.GE: ">=",
+# Binary operator -> (AST operator, precedence level); higher binds
+# tighter.  ``not`` is a prefix at level 3 and unary ``- ~`` bind
+# tighter than every binary level.
+_BINARY = {
+    TokenKind.OR: ("or", 1),
+    TokenKind.AND: ("and", 2),
+    TokenKind.EQ: ("=", 4),
+    TokenKind.NE: ("/=", 4),
+    TokenKind.LT: ("<", 4),
+    TokenKind.LE: ("<=", 4),
+    TokenKind.GT: (">", 4),
+    TokenKind.GE: (">=", 4),
+    TokenKind.PLUS: ("+", 5),
+    TokenKind.MINUS: ("-", 5),
+    TokenKind.PIPE: ("|", 5),
+    TokenKind.CARET: ("^", 5),
+    TokenKind.STAR: ("*", 6),
+    TokenKind.SLASH: ("/", 6),
+    TokenKind.MOD: ("mod", 6),
+    TokenKind.AMP: ("&", 6),
+    TokenKind.SHL: ("<<", 6),
+    TokenKind.SHR: (">>", 6),
 }
+_AND_LEVEL = 2
+_NOT_LEVEL = 3
+_COMPARISON_LEVEL = 4
+_TIGHTEST_LEVEL = 6
 
-_ADDITIVE = {
-    TokenKind.PLUS: "+",
-    TokenKind.MINUS: "-",
-    TokenKind.PIPE: "|",
-    TokenKind.CARET: "^",
-}
-
-_MULTIPLICATIVE = {
-    TokenKind.STAR: "*",
-    TokenKind.SLASH: "/",
-    TokenKind.MOD: "mod",
-    TokenKind.AMP: "&",
-    TokenKind.SHL: "<<",
-    TokenKind.SHR: ">>",
-}
+#: Deepest nesting of parentheses, index expressions, unary prefixes
+#: and compound statements (``if``, ``while``, ``repeat``, ``for``)
+#: the parser accepts; the recursive walks of the tree stay well
+#: inside Python's default recursion limit at this depth.
+MAX_NESTING = 100
 
 
 def _int_value(token: Token) -> int:
@@ -91,6 +112,7 @@ class Parser:
     def __init__(self, tokens: list[Token]) -> None:
         self._tokens = tokens
         self._index = 0
+        self._depth = 0
 
     # ------------------------------------------------------------------
     # Token plumbing
@@ -121,6 +143,14 @@ class Parser:
                 token.location,
             )
         return self._advance()
+
+    def _nest(self, token: Token) -> None:
+        """Open one more level of nesting at ``token``; the caller
+        closes it with ``self._depth -= 1`` once the level is parsed."""
+        self._depth += 1
+        if self._depth > MAX_NESTING:
+            raise ParseError(f"nesting deeper than {MAX_NESTING} levels",
+                             token.location)
 
     # ------------------------------------------------------------------
     # Declarations
@@ -243,18 +273,23 @@ class Parser:
 
     def _parse_statement(self) -> ast.Stmt:
         token = self._peek()
-        if token.kind is TokenKind.IF:
-            return self._parse_if()
-        if token.kind is TokenKind.WHILE:
-            return self._parse_while()
-        if token.kind is TokenKind.REPEAT:
-            return self._parse_repeat()
-        if token.kind is TokenKind.FOR:
-            return self._parse_for()
         if token.kind is TokenKind.IDENT:
             return self._parse_assign_or_call()
-        raise ParseError(f"expected a statement, found {token.text!r}",
-                         token.location)
+        if token.kind is TokenKind.IF:
+            parse_compound = self._parse_if
+        elif token.kind is TokenKind.WHILE:
+            parse_compound = self._parse_while
+        elif token.kind is TokenKind.REPEAT:
+            parse_compound = self._parse_repeat
+        elif token.kind is TokenKind.FOR:
+            parse_compound = self._parse_for
+        else:
+            raise ParseError(f"expected a statement, found {token.text!r}",
+                             token.location)
+        self._nest(token)
+        stmt = parse_compound()
+        self._depth -= 1
+        return stmt
 
     def _parse_if(self) -> ast.Stmt:
         start = self._expect(TokenKind.IF)
@@ -313,10 +348,8 @@ class Parser:
             self._expect(TokenKind.RPAREN)
             return ast.Call(name_token.location, name_token.text, args)
         target: ast.Expr
-        if self._accept(TokenKind.LBRACKET):
-            index = self.parse_expr()
-            self._expect(TokenKind.RBRACKET)
-            target = ast.IndexRef(name_token.location, name_token.text, index)
+        if self._check(TokenKind.LBRACKET):
+            target = self._parse_index(name_token)
         else:
             target = ast.VarRef(name_token.location, name_token.text)
         self._expect(TokenKind.ASSIGN)
@@ -328,70 +361,54 @@ class Parser:
     # ------------------------------------------------------------------
 
     def parse_expr(self) -> ast.Expr:
-        return self._parse_or()
+        return self._parse_binary(1)
 
-    def _parse_or(self) -> ast.Expr:
-        expr = self._parse_and()
-        while self._check(TokenKind.OR):
-            token = self._advance()
-            right = self._parse_and()
-            expr = ast.Binary(token.location, "or", expr, right)
-        return expr
+    def _parse_binary(self, min_level: int) -> ast.Expr:
+        """An expression whose binary operators are all of level
+        ``min_level`` or tighter, by precedence climbing.
 
-    def _parse_and(self) -> ast.Expr:
-        expr = self._parse_not()
-        while self._check(TokenKind.AND):
-            token = self._advance()
-            right = self._parse_not()
-            expr = ast.Binary(token.location, "and", expr, right)
-        return expr
-
-    def _parse_not(self) -> ast.Expr:
-        if self._check(TokenKind.NOT):
-            token = self._advance()
-            operand = self._parse_not()
-            return ast.Unary(token.location, "not", operand)
-        return self._parse_comparison()
-
-    def _parse_comparison(self) -> ast.Expr:
-        expr = self._parse_additive()
-        if self._peek().kind in _COMPARISONS:
-            token = self._advance()
-            right = self._parse_additive()
-            expr = ast.Binary(
-                token.location, _COMPARISONS[token.kind], expr, right
-            )
-        return expr
-
-    def _parse_additive(self) -> ast.Expr:
-        expr = self._parse_multiplicative()
-        while self._peek().kind in _ADDITIVE:
-            token = self._advance()
-            right = self._parse_multiplicative()
-            expr = ast.Binary(token.location, _ADDITIVE[token.kind], expr, right)
-        return expr
-
-    def _parse_multiplicative(self) -> ast.Expr:
-        expr = self._parse_unary()
-        while self._peek().kind in _MULTIPLICATIVE:
-            token = self._advance()
-            right = self._parse_unary()
-            expr = ast.Binary(
-                token.location, _MULTIPLICATIVE[token.kind], expr, right
-            )
-        return expr
+        ``limit`` is the highest level that may continue the expression:
+        after an operator of level ``p`` only levels up to ``p`` (tighter
+        ones were taken by its right operand), after a comparison only
+        looser ones (comparisons do not chain), and after a ``not``
+        prefix only ``and`` and ``or``.
+        """
+        tokens = self._tokens
+        token = tokens[self._index]
+        if token.kind is TokenKind.NOT and min_level <= _NOT_LEVEL:
+            self._nest(token)
+            self._index += 1
+            operand = self._parse_binary(_NOT_LEVEL)
+            self._depth -= 1
+            expr = ast.Unary(token.location, "not", operand)
+            limit = _AND_LEVEL
+        else:
+            expr = self._parse_unary()
+            limit = _TIGHTEST_LEVEL
+        while True:
+            token = tokens[self._index]
+            binary = _BINARY.get(token.kind)
+            if binary is None:
+                return expr
+            op, level = binary
+            if level < min_level or level > limit:
+                return expr
+            self._index += 1
+            right = self._parse_binary(level + 1)
+            expr = ast.Binary(token.location, op, expr, right)
+            limit = level - 1 if level == _COMPARISON_LEVEL else level
 
     def _parse_unary(self) -> ast.Expr:
-        if self._check(TokenKind.MINUS):
-            token = self._advance()
-            return ast.Unary(token.location, "-", self._parse_unary())
-        if self._check(TokenKind.TILDE):
-            token = self._advance()
-            return ast.Unary(token.location, "~", self._parse_unary())
-        return self._parse_primary()
-
-    def _parse_primary(self) -> ast.Expr:
         token = self._advance()
+        if token.kind is TokenKind.MINUS or token.kind is TokenKind.TILDE:
+            self._nest(token)
+            operand = self._parse_unary()
+            self._depth -= 1
+            return ast.Unary(token.location, token.text, operand)
+        if token.kind is TokenKind.IDENT:
+            if self._check(TokenKind.LBRACKET):
+                return self._parse_index(token)
+            return ast.VarRef(token.location, token.text)
         if token.kind is TokenKind.INT:
             return ast.IntLiteral(token.location, _int_value(token))
         if token.kind is TokenKind.REAL:
@@ -400,18 +417,23 @@ class Parser:
                 raise ParseError("real literal out of range",
                                  token.location)
             return ast.RealLiteral(token.location, value)
-        if token.kind is TokenKind.IDENT:
-            if self._accept(TokenKind.LBRACKET):
-                index = self.parse_expr()
-                self._expect(TokenKind.RBRACKET)
-                return ast.IndexRef(token.location, token.text, index)
-            return ast.VarRef(token.location, token.text)
         if token.kind is TokenKind.LPAREN:
-            expr = self.parse_expr()
+            self._nest(token)
+            expr = self._parse_binary(1)
             self._expect(TokenKind.RPAREN)
+            self._depth -= 1
             return expr
         raise ParseError(f"expected an expression, found {token.text!r}",
                          token.location)
+
+    def _parse_index(self, name_token: Token) -> ast.IndexRef:
+        """``name [ expr ]``, with ``name`` already consumed."""
+        bracket = self._advance()
+        self._nest(bracket)
+        index = self.parse_expr()
+        self._expect(TokenKind.RBRACKET)
+        self._depth -= 1
+        return ast.IndexRef(name_token.location, name_token.text, index)
 
 
 def parse(source: str) -> ast.Program:

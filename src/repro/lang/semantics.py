@@ -556,10 +556,55 @@ class Lowerer:
         return op.result
 
     def _eval_binary(self, expr: ast.Binary, expected: Type | None) -> Value:
+        # A left-deep chain ``((a + b) + c) + …`` is walked down its left
+        # spine and lowered bottom-up, so its length costs no recursion.
+        # A spine node's left operand is itself a binary node, never a
+        # literal, so it is always evaluated before the right operand.
+        spine: list[tuple[ast.Binary, Type | None]] = []
+        while isinstance(expr.left, ast.Binary):
+            spine.append((expr, expected))
+            expected = _left_context(expr.op, expected)
+            expr = expr.left
+        left, right = self._eval_operands(expr, expected)
+        value = self._emit_binary(expr, left, right)
+        for expr, expected in reversed(spine):
+            right = self._eval_right(expr, expected, value)
+            value = self._emit_binary(expr, value, right)
+        return value
+
+    def _eval_operands(self, expr: ast.Binary,
+                       expected: Type | None) -> tuple[Value, Value]:
+        """Evaluate both operands with contextual literal typing: with
+        no context from outside, a literal operand of an arithmetic
+        operator or a comparison adopts the other operand's type."""
+        context = _left_context(expr.op, expected)
+        if (
+            context is None
+            and (expr.op in _ARITH_OPS or expr.op in _COMPARE_OPS)
+            and isinstance(expr.left, (ast.IntLiteral, ast.RealLiteral))
+            and not isinstance(expr.right,
+                               (ast.IntLiteral, ast.RealLiteral))
+        ):
+            right = self._eval(expr.right, None)
+            return self._eval(expr.left, right.type), right
+        left = self._eval(expr.left, context)
+        return left, self._eval_right(expr, expected, left)
+
+    def _eval_right(self, expr: ast.Binary, expected: Type | None,
+                    left: Value) -> Value:
+        """Evaluate the right operand once the left one is ``left``."""
+        if expr.op in ("and", "or"):
+            return self._eval(expr.right, None)
+        if expr.op in _SHIFT_OPS:
+            return self._eval(expr.right, _SHIFT_AMOUNT)
+        if expr.op in _ARITH_OPS and expected is not None:
+            return self._eval(expr.right, expected)
+        return self._eval(expr.right, left.type)
+
+    def _emit_binary(self, expr: ast.Binary, left: Value,
+                     right: Value) -> Value:
         block = self._current_block()
         if expr.op in ("and", "or"):
-            left = self._eval(expr.left, None)
-            right = self._eval(expr.right, None)
             if left.type != BOOL or right.type != BOOL:
                 raise SemanticError(
                     f"{expr.op!r} needs boolean operands", expr.location
@@ -567,16 +612,10 @@ class Lowerer:
             kind = OpKind.AND if expr.op == "and" else OpKind.OR
             op = block.emit(kind, [left, right], BOOL)
         elif expr.op in _SHIFT_OPS:
-            left = self._eval(expr.left, expected)
-            amount = self._eval(expr.right, _SHIFT_AMOUNT)
-            op = block.emit(_SHIFT_OPS[expr.op], [left, amount], left.type)
+            op = block.emit(_SHIFT_OPS[expr.op], [left, right], left.type)
         elif expr.op in _COMPARE_OPS:
-            left, right = self._eval_operand_pair(expr.left, expr.right, None)
             op = block.emit(_COMPARE_OPS[expr.op], [left, right], BOOL)
         elif expr.op in _ARITH_OPS:
-            left, right = self._eval_operand_pair(
-                expr.left, expr.right, expected
-            )
             result_type = _common_arith_type(left.type, right.type)
             op = block.emit(_ARITH_OPS[expr.op], [left, right], result_type)
         else:  # pragma: no cover
@@ -586,26 +625,33 @@ class Lowerer:
         expr.type = op.result.type
         return op.result
 
-    def _eval_operand_pair(
-        self, left: ast.Expr, right: ast.Expr, expected: Type | None
-    ) -> tuple[Value, Value]:
-        """Evaluate both operands with contextual literal typing: a
-        literal operand adopts the other operand's type."""
-        if expected is not None:
-            return self._eval(left, expected), self._eval(right, expected)
-        left_literal = isinstance(left, (ast.IntLiteral, ast.RealLiteral))
-        right_literal = isinstance(right, (ast.IntLiteral, ast.RealLiteral))
-        if left_literal and not right_literal:
-            right_value = self._eval(right, None)
-            left_value = self._eval(left, right_value.type)
-            return left_value, right_value
-        left_value = self._eval(left, None)
-        right_value = self._eval(right, left_value.type)
-        return left_value, right_value
+
+def _left_context(op: str, expected: Type | None) -> Type | None:
+    """The type context a binary operator hands its left operand:
+    arithmetic and shifts pass theirs on; comparisons and ``and``/``or``
+    type their operands from the operands themselves."""
+    return expected if op in _ARITH_OPS or op in _SHIFT_OPS else None
 
 
 def _rename_expr(expr: ast.Expr, rename: dict[str, str]) -> ast.Expr:
-    """Copy ``expr`` with variable names substituted (for inlining)."""
+    """Copy ``expr`` with variable names substituted (for inlining).
+
+    Left spines of binary operators are copied in a loop, like
+    :meth:`Lowerer._eval_binary` lowers them.
+    """
+    spine: list[ast.Binary] = []
+    while isinstance(expr, ast.Binary):
+        spine.append(expr)
+        expr = expr.left
+    copy = _rename_operand(expr, rename)
+    for node in reversed(spine):
+        copy = ast.Binary(node.location, node.op, copy,
+                          _rename_expr(node.right, rename))
+    return copy
+
+
+def _rename_operand(expr: ast.Expr, rename: dict[str, str]) -> ast.Expr:
+    """:func:`_rename_expr` for every expression but a binary one."""
     if isinstance(expr, ast.IntLiteral):
         return ast.IntLiteral(expr.location, expr.value)
     if isinstance(expr, ast.RealLiteral):
@@ -621,13 +667,6 @@ def _rename_expr(expr: ast.Expr, rename: dict[str, str]) -> ast.Expr:
     if isinstance(expr, ast.Unary):
         return ast.Unary(expr.location, expr.op,
                          _rename_expr(expr.operand, rename))
-    if isinstance(expr, ast.Binary):
-        return ast.Binary(
-            expr.location,
-            expr.op,
-            _rename_expr(expr.left, rename),
-            _rename_expr(expr.right, rename),
-        )
     raise SemanticError(f"cannot rename {expr!r}", expr.location)
 
 

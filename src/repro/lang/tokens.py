@@ -100,9 +100,14 @@ KEYWORDS: dict[str, TokenKind] = {
 }
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Token:
-    """One lexical token with its source location."""
+    """One lexical token with its source location.
+
+    A plain slotted dataclass: the lexer builds one per token, and a
+    frozen dataclass's constructor costs several times as much.  No
+    code mutates or hashes a token.
+    """
 
     kind: TokenKind
     text: str

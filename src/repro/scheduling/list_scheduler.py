@@ -76,52 +76,69 @@ class ListScheduler(Scheduler):
 
     def schedule(self) -> Schedule:
         problem = self.problem
+        graph = problem.graph
         priority = self._priority_fn(problem)
+        # Candidate order: higher priority first, ties to the smaller id.
+        rank = {
+            op_id: position
+            for position, op_id in enumerate(sorted(
+                (op.id for op in problem.ops),
+                key=lambda op_id: (-priority[op_id], op_id),
+            ))
+        }
         start: dict[int, int] = {}
         usage: dict[tuple[int, str], int] = {}
-        unscheduled = {op.id for op in problem.ops}
-        unscheduled_preds = {
-            op_id: set(problem.graph.predecessors(op_id))
-            for op_id in unscheduled
-        }
+        # Predecessors still unplaced, per op.  An op joins ``ready``
+        # (op id -> the step its operands settle in) when its last
+        # predecessor is placed, and leaves it when it is placed itself.
+        unplaced_preds = {op.id: graph.in_degree(op.id) for op in problem.ops}
+        ready = {op_id: 0 for op_id, count in unplaced_preds.items()
+                 if count == 0}
+        remaining = len(unplaced_preds)
+        deferred = 0
 
         step = 0
         guard = 0
         guard_limit = 10 * len(problem.ops) + problem.critical_path() + 100
-        while unscheduled:
+        while remaining:
             guard += 1
             if guard > guard_limit:
                 raise AssertionError("list scheduler failed to converge")
             progressed = True
             while progressed:
                 progressed = False
-                candidates = [
-                    op_id
-                    for op_id in unscheduled
-                    if not unscheduled_preds[op_id]
-                    and self._ready_step(op_id, start) <= step
-                ]
-                candidates.sort(key=lambda op_id: (-priority[op_id], op_id))
+                # Ops that become ready during a pass wait for the next.
+                candidates = sorted(
+                    (op_id for op_id, ready_at in ready.items()
+                     if ready_at <= step),
+                    key=rank.__getitem__,
+                )
                 for op_id in candidates:
-                    placed_at = self._try_place(op_id, step, start, usage)
-                    if placed_at is None:
-                        # Resource pressure deferred a ready op — a
-                        # branch only constrained problems take;
-                        # counted so coverage fingerprints see it.
-                        metrics().counter("scheduler.list.deferred").inc()
+                    if not self._try_place(op_id, step, ready[op_id],
+                                           start, usage):
+                        # Resource pressure deferred a ready op.
+                        deferred += 1
                         continue
-                    unscheduled.discard(op_id)
-                    for succ in problem.graph.successors(op_id):
-                        if succ in unscheduled_preds:
-                            unscheduled_preds[succ].discard(op_id)
+                    del ready[op_id]
+                    remaining -= 1
+                    for succ in graph.successors(op_id):
+                        unplaced_preds[succ] -= 1
+                        if not unplaced_preds[succ]:
+                            ready[succ] = self._ready_step(succ, start)
                     progressed = True
             step += 1
 
+        if deferred:
+            # A branch only constrained problems take; counted so
+            # coverage fingerprints see it.
+            metrics().counter("scheduler.list.deferred").inc(deferred)
         return Schedule(problem, start, scheduler=self.name)
 
     # ------------------------------------------------------------------
 
     def _ready_step(self, op_id: int, start: dict[int, int]) -> int:
+        """The step all of ``op_id``'s operands settle in (every
+        predecessor is placed)."""
         problem = self.problem
         ready = 0
         for pred in problem.graph.predecessors(op_id):
@@ -129,25 +146,27 @@ class ListScheduler(Scheduler):
             ready = max(ready, start[pred] + offset)
         return ready
 
-    def _try_place(self, op_id: int, step: int, start: dict[int, int],
-                   usage: dict[tuple[int, str], int]) -> int | None:
-        """Place ``op_id`` in ``step`` if resources allow; free ops are
-        placed at their ready step (chaining)."""
+    def _try_place(self, op_id: int, step: int, ready_at: int,
+                   start: dict[int, int],
+                   usage: dict[tuple[int, str], int]) -> bool:
+        """Place ready ``op_id`` in ``step`` if resources allow; free
+        ops are placed at their ready step ``ready_at`` (chaining)."""
         problem = self.problem
         cls = problem.op_class(op_id)
         if cls is None:
-            start[op_id] = self._ready_step(op_id, start)
-            return start[op_id]
-        if self._ready_step(op_id, start) > step:
-            return None
+            start[op_id] = ready_at
+            return True
         limit = problem.constraints.limit(cls)
         occupancy = problem.occupancy(op_id)
-        if limit is not None and any(
-            usage.get((step + k, cls), 0) >= limit
-            for k in range(occupancy)
-        ):
-            return None
+        if limit is not None:
+            # Usage only grows within a step: once the class is full at
+            # ``step``, every later candidate of it fails here.
+            if usage.get((step, cls), 0) >= limit:
+                return False
+            for k in range(1, occupancy):
+                if usage.get((step + k, cls), 0) >= limit:
+                    return False
         for k in range(occupancy):
             usage[(step + k, cls)] = usage.get((step + k, cls), 0) + 1
         start[op_id] = step
-        return step
+        return True

@@ -41,9 +41,10 @@ class TreeHeightReduction(Pass):
 
     def _run_block(self, block: BasicBlock) -> bool:
         changed = False
+        consumed: set[int] = set()  # internal ops of rebalanced chains
         for op in list(block.ops):
-            if op not in block.ops:
-                continue  # consumed by an earlier rebalance
+            if op.id in consumed:
+                continue  # removed by an earlier rebalance
             if op.kind not in _ASSOCIATIVE or op.result is None:
                 continue
             if self._is_chain_internal(op):
@@ -56,6 +57,7 @@ class TreeHeightReduction(Pass):
             if depth <= balanced_depth:
                 continue
             self._rebuild(block, op, leaves, internals)
+            consumed.update(internal.id for internal in internals)
             changed = True
         return changed
 
@@ -99,8 +101,10 @@ class TreeHeightReduction(Pass):
     def _chain_depth(self, root: Operation) -> int:
         """Height of the current chain (ops along the deepest path)."""
         assert root.result is not None
-
-        def depth(value: Value) -> int:
+        height = 0
+        stack = [(value, 1) for value in root.operands]
+        while stack:
+            value, depth = stack.pop()
             producer = value.producer
             if (
                 producer.kind is root.kind
@@ -109,10 +113,11 @@ class TreeHeightReduction(Pass):
                 and len(value.uses) == 1
                 and value.type == root.result.type
             ):
-                return 1 + max(depth(v) for v in producer.operands)
-            return 0
-
-        return 1 + max(depth(v) for v in root.operands)
+                stack.extend((operand, depth + 1)
+                             for operand in producer.operands)
+            else:
+                height = max(height, depth)
+        return height
 
     def _rebuild(self, block: BasicBlock, root: Operation,
                  leaves: list[Value], internals: list[Operation]) -> None:
@@ -121,10 +126,16 @@ class TreeHeightReduction(Pass):
         result_type = root.result.type
         kind = root.kind
 
-        # Detach the old internal ops and the root from their operands.
-        for op in [root, *internals]:
-            for index, value in enumerate(op.operands):
-                value.uses.remove((op, index))
+        # Detach the old internal ops and the root from their operands,
+        # one pass over each operand's uses (a leaf value may feed
+        # thousands of chain ops).
+        chain = [root, *internals]
+        detached = {id(op) for op in chain}
+        operands = {id(value): value for op in chain for value in op.operands}
+        for value in operands.values():
+            value.uses[:] = [use for use in value.uses
+                             if id(use[0]) not in detached]
+        for op in chain:
             op.operands = []
 
         # Pair leaves round by round (stable order: by value id).
@@ -150,5 +161,6 @@ class TreeHeightReduction(Pass):
         for op in internals:
             if op.result is not None and op.result.uses:
                 raise AssertionError("chain internal op still has uses")
-            block.ops.remove(op)
+        dead = {op.id for op in internals}
+        block.ops = [op for op in block.ops if op.id not in dead]
         block.retopo()

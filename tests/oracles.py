@@ -1,5 +1,5 @@
-"""Test-only oracles for the incremental Fig. 5 and Fig. 7 algorithms
-and for the engine's one-per-synthesis liveness solve.
+"""Test-only oracles for the incremental Fig. 4, Fig. 5 and Fig. 7
+algorithms and for the engine's one-per-synthesis liveness solve.
 
 ``reference_clique_partition`` is the textbook Tseng-Siewiorek loop:
 it re-sorts every edge and recounts every common neighbourhood after
@@ -9,11 +9,15 @@ loop: it recomputes every time frame, rebuilds every distribution
 graph and rescores every pending operation after each placement;
 ``ReferenceForceDirectedScheduler`` runs it in place of the
 incremental loop, and ``ForceDirectedScheduler`` must return the same
-schedules.  ``reference_live_out_variables`` ignores the live-out set
+schedules.  ``reference_list_schedule`` is the rescanning list loop:
+every pass re-filters every unscheduled op and re-derives the ready
+step of each one whose predecessors are placed; ``ListScheduler``'s
+ready-set loop must return the same schedules and count the same
+deferrals.  ``reference_live_out_variables`` ignores the live-out set
 the engine hands over on each scheduling problem and re-solves the
 whole procedure on every call.
 
-:func:`reference_algorithms` swaps all three oracles into every
+:func:`reference_algorithms` swaps all four oracles into every
 synthesis path, so whole designs built with and without them can be
 compared stage by stage.
 """
@@ -31,7 +35,8 @@ import repro.allocation.clique as clique_module
 import repro.allocation.left_edge as left_edge_module
 import repro.analysis.liveness as liveness_module
 import repro.datapath.plan as plan_module
-from repro.scheduling import Schedule
+from repro.obs import metrics
+from repro.scheduling import ListScheduler, Schedule
 from repro.scheduling.force_directed import (
     ForceDirectedScheduler,
     _DistributionState,
@@ -119,6 +124,76 @@ class ReferenceForceDirectedScheduler(ForceDirectedScheduler):
     _schedule_incremental = reference_force_directed
 
 
+def reference_list_schedule(scheduler: ListScheduler) -> Schedule:
+    """List scheduling that rescans every unscheduled op on every pass
+    and re-derives each candidate's ready step: the reference for
+    ``ListScheduler.schedule``."""
+    problem = scheduler.problem
+    priority = scheduler._priority_fn(problem)
+    start: dict[int, int] = {}
+    usage: dict[tuple[int, str], int] = {}
+    unscheduled = {op.id for op in problem.ops}
+    unscheduled_preds = {
+        op_id: set(problem.graph.predecessors(op_id))
+        for op_id in unscheduled
+    }
+
+    step = 0
+    guard = 0
+    guard_limit = 10 * len(problem.ops) + problem.critical_path() + 100
+    while unscheduled:
+        guard += 1
+        if guard > guard_limit:
+            raise AssertionError("list scheduler failed to converge")
+        progressed = True
+        while progressed:
+            progressed = False
+            candidates = [
+                op_id
+                for op_id in unscheduled
+                if not unscheduled_preds[op_id]
+                and scheduler._ready_step(op_id, start) <= step
+            ]
+            candidates.sort(key=lambda op_id: (-priority[op_id], op_id))
+            for op_id in candidates:
+                placed_at = _reference_try_place(scheduler, op_id, step,
+                                                 start, usage)
+                if placed_at is None:
+                    metrics().counter("scheduler.list.deferred").inc()
+                    continue
+                unscheduled.discard(op_id)
+                for succ in problem.graph.successors(op_id):
+                    if succ in unscheduled_preds:
+                        unscheduled_preds[succ].discard(op_id)
+                progressed = True
+        step += 1
+
+    return Schedule(problem, start, scheduler=scheduler.name)
+
+
+def _reference_try_place(scheduler: ListScheduler, op_id: int, step: int,
+                         start: dict[int, int],
+                         usage: dict[tuple[int, str], int]) -> int | None:
+    problem = scheduler.problem
+    cls = problem.op_class(op_id)
+    if cls is None:
+        start[op_id] = scheduler._ready_step(op_id, start)
+        return start[op_id]
+    if scheduler._ready_step(op_id, start) > step:
+        return None
+    limit = problem.constraints.limit(cls)
+    occupancy = problem.occupancy(op_id)
+    if limit is not None and any(
+        usage.get((step + k, cls), 0) >= limit
+        for k in range(occupancy)
+    ):
+        return None
+    for k in range(occupancy):
+        usage[(step + k, cls)] = usage.get((step + k, cls), 0) + 1
+    start[op_id] = step
+    return step
+
+
 def reference_live_out_variables(schedule) -> frozenset[str] | None:
     """Variables live out of the block(s) a schedule covers, from a
     whole-procedure solve made for this one call.
@@ -142,10 +217,12 @@ def reference_live_out_variables(schedule) -> frozenset[str] | None:
 
 @contextmanager
 def reference_algorithms():
-    """Run every synthesis inside the block on all three oracles: the
-    full-rescoring force-directed loop, the re-sorting clique loop and
-    the per-call liveness solve in every consumer."""
+    """Run every synthesis inside the block on all four oracles: the
+    rescanning list loop, the full-rescoring force-directed loop, the
+    re-sorting clique loop and the per-call liveness solve in every
+    consumer."""
     with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(ListScheduler, "schedule", reference_list_schedule)
         patch.setattr(ForceDirectedScheduler, "_schedule_incremental",
                       reference_force_directed)
         patch.setattr(clique_module, "clique_partition",

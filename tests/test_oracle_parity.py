@@ -1,12 +1,13 @@
 """Whole designs are identical with and without the test-only oracles.
 
-Each case synthesizes twice: once on the library's incremental
-force-directed scheduler, lazy-heap clique partitioning and
-one-per-synthesis liveness solve, once with the oracles swapped in
-(:func:`oracles.reference_algorithms`).  Every pipeline stage's
-signature must match — scheduling, allocation, binding and controller
-— and so must the emitted Verilog, which also covers the datapath
-plans the signatures leave out.  The grid spans random DFG sizes, the
+Each case synthesizes twice: once on the library's ready-set list
+scheduler, incremental force-directed scheduler, lazy-heap clique
+partitioning and one-per-synthesis liveness solve, once with the
+oracles swapped in (:func:`oracles.reference_algorithms`).  Every
+pipeline stage's signature must match — scheduling, allocation,
+binding and controller — and so must the emitted Verilog, which also
+covers the datapath plans the signatures leave out, and the count of
+list-scheduler deferrals.  The grid spans random DFG sizes, the
 checked-in regression corpus, the paper's workloads under each
 transform directive, and an incremental resynthesis.
 """
@@ -21,8 +22,15 @@ from repro.core import (
     synthesize,
     synthesize_cdfg,
 )
+from repro.obs import metrics
 from repro.rtl import emit_verilog
-from repro.scheduling import ResourceConstraints, TypedFUModel
+from repro.scheduling import (
+    ListScheduler,
+    ResourceConstraints,
+    SchedulingProblem,
+    TypedFUModel,
+    UniversalFUModel,
+)
 from repro.verify import Corpus
 from repro.workloads import (
     DIFFEQ_SOURCE,
@@ -35,7 +43,7 @@ from repro.workloads import (
 )
 from repro.workloads.random_dfg import RandomDFGSpec, random_dfg
 
-from .oracles import reference_algorithms
+from .oracles import reference_algorithms, reference_list_schedule
 from .test_incremental_resynthesis import BASE, EDITED
 
 CORPUS_DIR = Path(__file__).resolve().parent / "corpus"
@@ -50,16 +58,52 @@ def _options(scheduler, allocator, fu=None, **extra) -> SynthesisOptions:
     )
 
 
+def _deferrals(build):
+    """``build()``'s result and the list deferrals it counted."""
+    counter = metrics().counter("scheduler.list.deferred")
+    before = counter.value
+    result = build()
+    return result, counter.value - before
+
+
 def _assert_same_design(build) -> None:
     """``build()`` returns a fresh design; compare it with the one the
     oracles produce."""
-    fast = build()
+    fast, fast_deferrals = _deferrals(build)
     with reference_algorithms():
-        slow = build()
+        slow, slow_deferrals = _deferrals(build)
     fast_stages = fast.stage_signatures()
     for stage, signature in slow.stage_signatures().items():
         assert fast_stages[stage] == signature, f"{stage} diverged"
     assert emit_verilog(fast) == emit_verilog(slow)
+    assert fast_deferrals == slow_deferrals
+
+
+@pytest.mark.parametrize("fu", [1, 2, 3, 4])
+@pytest.mark.parametrize("ops", [40, 120, 300])
+def test_list_left_edge_size_grid(ops, fu):
+    spec = RandomDFGSpec(ops=ops, inputs=8, seed=ops + fu)
+    _assert_same_design(lambda: synthesize_cdfg(
+        random_dfg(spec), _options("list", "left-edge", fu)))
+
+
+@pytest.mark.parametrize("fu", [1, 2, 3])
+@pytest.mark.parametrize("ops", [30, 120])
+@pytest.mark.parametrize("priority", ["path_length", "urgency", "mobility"])
+def test_list_priorities(priority, ops, fu):
+    (block,) = random_dfg(RandomDFGSpec(ops=ops, inputs=6,
+                                        seed=ops * fu)).blocks()
+    problem = SchedulingProblem.from_block(
+        block, UniversalFUModel(), ResourceConstraints({"fu": fu}))
+    fast, fast_deferrals = _deferrals(
+        lambda: ListScheduler(problem, priority).schedule())
+    slow, slow_deferrals = _deferrals(
+        lambda: reference_list_schedule(ListScheduler(problem, priority)))
+    # Placement order included: the start dicts iterate alike.
+    assert list(fast.start.items()) == list(slow.start.items())
+    assert fast_deferrals == slow_deferrals
+    if fu == 1:
+        assert fast_deferrals > 0  # resource pressure was exercised
 
 
 @pytest.mark.parametrize("fu", [2, 4])
@@ -68,6 +112,30 @@ def test_list_clique_size_grid(ops, fu):
     spec = RandomDFGSpec(ops=ops, inputs=6, seed=ops + fu)
     _assert_same_design(lambda: synthesize_cdfg(
         random_dfg(spec), _options("list", "clique", fu)))
+
+
+def test_list_scheduler_derives_each_ready_step_once(monkeypatch):
+    """Work-count guard: the ready set derives an op's ready step once,
+    when its last predecessor is placed; the rescanning loop re-derives
+    it for every ready op on every pass."""
+    (block,) = random_dfg(RandomDFGSpec(ops=1000, inputs=8,
+                                        seed=3)).blocks()
+    problem = SchedulingProblem.from_block(
+        block, UniversalFUModel(), ResourceConstraints({"fu": 4}))
+    calls = 0
+    derive = ListScheduler._ready_step
+
+    def counting(scheduler, op_id, start):
+        nonlocal calls
+        calls += 1
+        return derive(scheduler, op_id, start)
+
+    monkeypatch.setattr(ListScheduler, "_ready_step", counting)
+    fast = ListScheduler(problem).schedule()
+    fast_calls, calls = calls, 0
+    slow = reference_list_schedule(ListScheduler(problem))
+    assert fast.start == slow.start
+    assert fast_calls <= len(problem.ops) < calls
 
 
 @pytest.mark.parametrize("fu", [2, 4])
