@@ -22,8 +22,7 @@ import heapq
 from itertools import combinations
 from typing import Hashable
 
-import networkx as nx
-
+from ..ir.graph import Graph
 from .base import Allocation, Allocator, FUInstance, ops_compatible
 from .lifetimes import compute_lifetimes
 
@@ -34,14 +33,14 @@ def _common_count(adjacency: dict[Hashable, set[Hashable]],
     return len(adjacency[u] & adjacency[v])
 
 
-def clique_partition(graph: nx.Graph) -> list[set[Hashable]]:
+def clique_partition(graph: Graph) -> list[set[Hashable]]:
     """Partition nodes into cliques (Tseng-Siewiorek greedy merging).
 
     Each step merges the edge with the most common neighbours, ties to
     the smallest sorted pair.  Self-loops are ignored: a node always
     shares hardware with itself.  Nodes must be sortable for
     deterministic tie-breaking.  Returns cliques sorted by their
-    smallest member.
+    smallest member.  Reads only ``graph.nodes`` and ``graph.edges``.
 
     A merge only shrinks neighbourhoods, so common-neighbour counts
     only fall.  The candidate edges therefore sit in a lazy max-heap
@@ -87,12 +86,13 @@ def clique_partition(graph: nx.Graph) -> list[set[Hashable]]:
     return sorted(members.values(), key=lambda clique: sorted(clique)[0])
 
 
-def exact_minimum_clique_cover(graph: nx.Graph,
+def exact_minimum_clique_cover(graph: Graph,
                                max_nodes: int = 16) -> list[set[Hashable]]:
     """Optimal clique cover by exhaustive search (small graphs only).
 
     Equivalent to optimal coloring of the complement graph.  Used by
     tests to certify the greedy heuristic on the paper's examples.
+    Reads only ``graph.nodes`` and ``graph.has_edge``.
     """
     nodes = sorted(graph.nodes)
     if len(nodes) > max_nodes:
@@ -124,10 +124,10 @@ def exact_minimum_clique_cover(graph: nx.Graph,
     return sorted(best, key=lambda clique: sorted(clique)[0])
 
 
-def fu_compatibility_graph(schedule) -> nx.Graph:
+def fu_compatibility_graph(schedule) -> Graph:
     """Fig. 7's graph: nodes = resource-using ops; edge ⇔ same class and
     disjoint active steps."""
-    graph = nx.Graph()
+    graph = Graph()
     op_ids = schedule.problem.compute_op_ids()
     graph.add_nodes_from(op_ids)
     for op_a, op_b in combinations(op_ids, 2):
@@ -136,10 +136,10 @@ def fu_compatibility_graph(schedule) -> nx.Graph:
     return graph
 
 
-def register_compatibility_graph(schedule) -> nx.Graph:
+def register_compatibility_graph(schedule) -> Graph:
     """Nodes = register-needing values; edge ⇔ disjoint lifetimes."""
     lifetimes = compute_lifetimes(schedule)
-    graph = nx.Graph()
+    graph = Graph()
     graph.add_nodes_from(lt.value.id for lt in lifetimes)
     for lt_a, lt_b in combinations(lifetimes, 2):
         if not lt_a.conflicts_with(lt_b):

@@ -11,17 +11,16 @@ from __future__ import annotations
 
 from itertools import combinations
 
-import networkx as nx
-
+from ..ir.graph import Graph
 from .base import Allocation, Allocator
 from .left_edge import LeftEdgeRegisterAllocator
 from .lifetimes import compute_lifetimes
 
 
-def register_conflict_graph(schedule) -> nx.Graph:
+def register_conflict_graph(schedule) -> Graph:
     """Nodes = register-needing values; edge ⇔ overlapping lifetimes."""
     lifetimes = compute_lifetimes(schedule)
-    graph = nx.Graph()
+    graph = Graph()
     graph.add_nodes_from(lt.value.id for lt in lifetimes)
     for lt_a, lt_b in combinations(lifetimes, 2):
         if lt_a.conflicts_with(lt_b):

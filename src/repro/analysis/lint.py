@@ -35,13 +35,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any
 
-import networkx as nx
-
 from ..allocation.lifetimes import compute_lifetimes
 from ..controller.fsm import FSM
 from ..datapath.netlist import DatapathNetlist, build_netlist
 from ..errors import HLSError
 from ..ir.cdfg import CDFG, IfRegion, LoopRegion
+from ..ir.graph import DiGraph, strongly_connected_components
 from ..ir.opcodes import COMPARISONS, OpKind
 from ..ir.types import FixedType, IntType, bit_width, is_scalar
 from .cfg import build_cfg
@@ -538,7 +537,7 @@ _COMBINATIONAL = ("fu", "mux")
 def lint_netlist(netlist: DatapathNetlist, sink: DiagnosticSink) -> None:
     """Run the structural rule family on a datapath netlist."""
     # net.comb-loop ----------------------------------------------------
-    graph = nx.DiGraph()
+    graph = DiGraph()
     for component in netlist.components.values():
         if component.kind in _COMBINATIONAL:
             graph.add_node(component.name)
@@ -551,7 +550,7 @@ def lint_netlist(netlist: DatapathNetlist, sink: DiagnosticSink) -> None:
                 graph.add_edge(
                     net.driver.component.name, pin.component.name
                 )
-    for scc in nx.strongly_connected_components(graph):
+    for scc in strongly_connected_components(graph):
         single = next(iter(scc))
         if len(scc) == 1 and not graph.has_edge(single, single):
             continue

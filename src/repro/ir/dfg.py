@@ -15,23 +15,34 @@ operation object attached) and one edge per ordering constraint:
   region, a write of a variable in an earlier block must precede reads
   of it in later blocks.
 
-All iteration orders are deterministic (sorted by operation id).
+The graph is a :class:`~repro.ir.graph.DiGraph`, so every iteration
+order is deterministic.  Nodes iterate in ``ops`` order.  An op's
+predecessors and successors iterate in edge insertion order: all data
+edges first (consumers in ``ops`` order, each by operand), then memory
+edges, then variable edges, then any timing edges a
+:class:`~repro.scheduling.SchedulingProblem` folds in.  Only
+:func:`topological_order` goes by smallest operation id.
 """
 
 from __future__ import annotations
 
 from typing import Callable, Iterable
 
-import networkx as nx
-
 from ..errors import IRError
+from .graph import (
+    DiGraph,
+    ancestors,
+    descendants,
+    has_cycle,
+    topological_order,
+)
 from .opcodes import OpKind
 from .values import Operation
 
 DelayFn = Callable[[Operation], int]
 
 
-def dependence_graph(ops: Iterable[Operation]) -> nx.DiGraph:
+def dependence_graph(ops: Iterable[Operation]) -> DiGraph:
     """Build the dependence DAG over ``ops``.
 
     ``ops`` must be in a valid execution order (block emission order, or
@@ -39,7 +50,7 @@ def dependence_graph(ops: Iterable[Operation]) -> nx.DiGraph:
     edges are derived from that order.
     """
     ops = list(ops)
-    graph = nx.DiGraph()
+    graph = DiGraph()
     in_set = {op.id for op in ops}
     for op in ops:
         graph.add_node(op.id, op=op)
@@ -79,32 +90,17 @@ def dependence_graph(ops: Iterable[Operation]) -> nx.DiGraph:
         elif op.kind is OpKind.VAR_WRITE:
             last_write[op.attrs["var"]] = op
 
-    if not nx.is_directed_acyclic_graph(graph):
+    if has_cycle(graph):
         raise IRError("dependence graph has a cycle")
     return graph
 
 
-def predecessors(graph: nx.DiGraph, op_id: int) -> list[int]:
-    """Sorted predecessor ids of ``op_id``."""
-    return sorted(graph.predecessors(op_id))
-
-
-def successors(graph: nx.DiGraph, op_id: int) -> list[int]:
-    """Sorted successor ids of ``op_id``."""
-    return sorted(graph.successors(op_id))
-
-
-def topological_order(graph: nx.DiGraph) -> list[int]:
-    """A deterministic topological order (ties broken by smallest id)."""
-    return list(nx.lexicographical_topological_sort(graph))
-
-
-def op_of(graph: nx.DiGraph, op_id: int) -> Operation:
+def op_of(graph: DiGraph, op_id: int) -> Operation:
     """The operation object attached to node ``op_id``."""
     return graph.nodes[op_id]["op"]
 
 
-def path_length_to_sink(graph: nx.DiGraph, delay: DelayFn,
+def path_length_to_sink(graph: DiGraph, delay: DelayFn,
                         order: list[int] | None = None) -> dict[int, int]:
     """For each op, the longest delay-weighted path from it to any sink.
 
@@ -125,7 +121,7 @@ def path_length_to_sink(graph: nx.DiGraph, delay: DelayFn,
     return lengths
 
 
-def path_length_from_source(graph: nx.DiGraph, delay: DelayFn) -> dict[int, int]:
+def path_length_from_source(graph: DiGraph, delay: DelayFn) -> dict[int, int]:
     """For each op, the longest delay-weighted path from any source up to
     (but not including) the op itself — i.e. its earliest possible start
     if resources were unlimited."""
@@ -139,17 +135,17 @@ def path_length_from_source(graph: nx.DiGraph, delay: DelayFn) -> dict[int, int]
     return lengths
 
 
-def critical_path_length(graph: nx.DiGraph, delay: DelayFn) -> int:
+def critical_path_length(graph: DiGraph, delay: DelayFn) -> int:
     """Delay of the longest path through the DAG (0 for an empty graph)."""
     to_sink = path_length_to_sink(graph, delay)
     return max(to_sink.values(), default=0)
 
 
-def transitive_predecessors(graph: nx.DiGraph, op_id: int) -> set[int]:
+def transitive_predecessors(graph: DiGraph, op_id: int) -> set[int]:
     """All ops that must execute before ``op_id``."""
-    return nx.ancestors(graph, op_id)
+    return ancestors(graph, op_id)
 
 
-def transitive_successors(graph: nx.DiGraph, op_id: int) -> set[int]:
+def transitive_successors(graph: DiGraph, op_id: int) -> set[int]:
     """All ops that must execute after ``op_id``."""
-    return nx.descendants(graph, op_id)
+    return descendants(graph, op_id)

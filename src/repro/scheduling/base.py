@@ -32,11 +32,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping
 
-import networkx as nx
-
 from ..errors import SchedulingError
 from ..ir.cdfg import CDFG, LoopRegion
 from ..ir.dfg import dependence_graph, topological_order
+from ..ir.graph import DiGraph, has_cycle
 from ..ir.opcodes import OpKind, op_info
 from ..ir.values import BasicBlock, Operation
 
@@ -334,7 +333,7 @@ class SchedulingProblem:
         self.constraints = constraints or ResourceConstraints.unlimited()
         self.time_limit = time_limit
         self.label = label
-        self.graph: nx.DiGraph = dependence_graph(self.ops)
+        self.graph: DiGraph = dependence_graph(self.ops)
         self._by_id = {op.id: op for op in self.ops}
         self.timing_constraints = list(timing_constraints or [])
         self._topo_cache: list[int] | None = None
@@ -369,7 +368,7 @@ class SchedulingProblem:
                 existing["min_offset"] = max(
                     existing.get("min_offset", 0), constraint.min_offset
                 )
-            if not nx.is_directed_acyclic_graph(self.graph):
+            if has_cycle(self.graph):
                 raise SchedulingError(
                     f"timing constraint op{u}->op{v} creates a cycle"
                 )

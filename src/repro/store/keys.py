@@ -29,7 +29,7 @@ if TYPE_CHECKING:  # pragma: no cover
 #: pipeline's deterministic behavior, or this key derivation changes
 #: incompatibly.  Old entries become unreachable (each version writes
 #: under its own ``v<N>/`` directory) and are reclaimed by gc.
-STORE_SCHEMA_VERSION = 5  # v5: block plans group latches by step
+STORE_SCHEMA_VERSION = 6  # v6: problems hold repro.ir.graph.DiGraph
 
 
 def options_token(options: "SynthesisOptions") -> tuple[Hashable, ...] | None:

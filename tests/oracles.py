@@ -15,9 +15,13 @@ step of each one whose predecessors are placed; ``ListScheduler``'s
 ready-set loop must return the same schedules and count the same
 deferrals.  ``reference_live_out_variables`` ignores the live-out set
 the engine hands over on each scheduling problem and re-solves the
-whole procedure on every call.
+whole procedure on every call.  ``reference_dependence_graph`` builds
+each scheduling problem's dependence graph as a networkx ``DiGraph``
+through the same insertion sequence, checked and ordered by networkx's
+own cycle check and lexicographic topological sort, in place of the
+library's graph core (``repro.ir.graph``).
 
-:func:`reference_algorithms` swaps all four oracles into every
+:func:`reference_algorithms` swaps all five oracles into every
 synthesis path, so whole designs built with and without them can be
 compared stage by stage.
 """
@@ -25,7 +29,7 @@ compared stage by stage.
 from __future__ import annotations
 
 from contextlib import contextmanager
-from typing import Hashable
+from typing import Hashable, Iterable
 
 import networkx as nx
 import pytest
@@ -35,6 +39,9 @@ import repro.allocation.clique as clique_module
 import repro.allocation.left_edge as left_edge_module
 import repro.analysis.liveness as liveness_module
 import repro.datapath.plan as plan_module
+import repro.scheduling.base as scheduling_base
+from repro.errors import IRError
+from repro.ir import OpKind, Operation
 from repro.obs import metrics
 from repro.scheduling import ListScheduler, Schedule
 from repro.scheduling.force_directed import (
@@ -215,13 +222,75 @@ def reference_live_out_variables(schedule) -> frozenset[str] | None:
     return live
 
 
+def reference_dependence_graph(ops: Iterable[Operation]) -> nx.DiGraph:
+    """``repro.ir.dependence_graph`` on a networkx ``DiGraph``: the same
+    nodes, edges and insertion sequence, so neighbours iterate alike."""
+    ops = list(ops)
+    graph = nx.DiGraph()
+    in_set = {op.id for op in ops}
+    for op in ops:
+        graph.add_node(op.id, op=op)
+
+    # Data edges.
+    for op in ops:
+        for value in op.operands:
+            producer = value.producer
+            if producer.id in in_set and producer.id != op.id:
+                graph.add_edge(producer.id, op.id, reason="data")
+
+    # Memory serialization edges (per memory, in program order).
+    last_store: dict[str, Operation] = {}
+    loads_since_store: dict[str, list[Operation]] = {}
+    for op in ops:
+        if op.kind is OpKind.LOAD:
+            memory = op.attrs["memory"]
+            if memory in last_store:
+                graph.add_edge(last_store[memory].id, op.id, reason="memory")
+            loads_since_store.setdefault(memory, []).append(op)
+        elif op.kind is OpKind.STORE:
+            memory = op.attrs["memory"]
+            if memory in last_store:
+                graph.add_edge(last_store[memory].id, op.id, reason="memory")
+            for load in loads_since_store.get(memory, []):
+                graph.add_edge(load.id, op.id, reason="memory")
+            last_store[memory] = op
+            loads_since_store[memory] = []
+
+    # Cross-block variable edges (only relevant for fused regions).
+    last_write: dict[str, Operation] = {}
+    for op in ops:
+        if op.kind is OpKind.VAR_READ:
+            var = op.attrs["var"]
+            if var in last_write and last_write[var].block is not op.block:
+                graph.add_edge(last_write[var].id, op.id, reason="var")
+        elif op.kind is OpKind.VAR_WRITE:
+            last_write[op.attrs["var"]] = op
+
+    if not nx.is_directed_acyclic_graph(graph):
+        raise IRError("dependence graph has a cycle")
+    return graph
+
+
+def _networkx_topological_order(graph: nx.DiGraph) -> list[int]:
+    return list(nx.lexicographical_topological_sort(graph))
+
+
+def _networkx_has_cycle(graph: nx.DiGraph) -> bool:
+    return not nx.is_directed_acyclic_graph(graph)
+
+
 @contextmanager
 def reference_algorithms():
-    """Run every synthesis inside the block on all four oracles: the
+    """Run every synthesis inside the block on all five oracles: the
     rescanning list loop, the full-rescoring force-directed loop, the
-    re-sorting clique loop and the per-call liveness solve in every
-    consumer."""
+    re-sorting clique loop, the per-call liveness solve in every
+    consumer and networkx dependence graphs."""
     with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(scheduling_base, "dependence_graph",
+                      reference_dependence_graph)
+        patch.setattr(scheduling_base, "topological_order",
+                      _networkx_topological_order)
+        patch.setattr(scheduling_base, "has_cycle", _networkx_has_cycle)
         patch.setattr(ListScheduler, "schedule", reference_list_schedule)
         patch.setattr(ForceDirectedScheduler, "_schedule_incremental",
                       reference_force_directed)

@@ -2,8 +2,9 @@
 
 Each case synthesizes twice: once on the library's ready-set list
 scheduler, incremental force-directed scheduler, lazy-heap clique
-partitioning and one-per-synthesis liveness solve, once with the
-oracles swapped in (:func:`oracles.reference_algorithms`).  Every
+partitioning, one-per-synthesis liveness solve and graph core
+(``repro.ir.graph``), once with the oracles, networkx dependence graphs
+among them, swapped in (:func:`oracles.reference_algorithms`).  Every
 pipeline stage's signature must match — scheduling, allocation,
 binding and controller — and so must the emitted Verilog, which also
 covers the datapath plans the signatures leave out, and the count of
@@ -14,6 +15,7 @@ transform directive, and an incremental resynthesis.
 
 from pathlib import Path
 
+import networkx as nx
 import pytest
 
 from repro.core import (
@@ -48,6 +50,15 @@ from .test_incremental_resynthesis import BASE, EDITED
 
 CORPUS_DIR = Path(__file__).resolve().parent / "corpus"
 PIPELINES = [("list", "clique"), ("force-directed", "left-edge")]
+
+
+def test_reference_problems_are_built_on_networkx():
+    (block,) = random_dfg(RandomDFGSpec(ops=20, inputs=4, seed=1)).blocks()
+    with reference_algorithms():
+        problem = SchedulingProblem.from_block(block, UniversalFUModel())
+    assert isinstance(problem.graph, nx.DiGraph)
+    assert problem.topological() == list(
+        nx.lexicographical_topological_sort(problem.graph))
 
 
 def _options(scheduler, allocator, fu=None, **extra) -> SynthesisOptions:
