@@ -3,7 +3,7 @@ PYTHONPATH := src
 
 export PYTHONPATH
 
-.PHONY: test test-slow fuzz-smoke fault-smoke fuzz fuzz-corpus corpus-replay corpus-minimize lint ruff verify-examples profile profile-json bench bench-smoke cache-smoke history report
+.PHONY: test test-slow fuzz-smoke fault-smoke fuzz fuzz-corpus corpus-replay corpus-minimize lint ruff verify-examples profile profile-json bench bench-smoke cli-smoke cache-smoke history report
 
 # Tier-1 suite (what CI runs).
 test:
@@ -117,6 +117,14 @@ bench-smoke:
 			--seconds 1 --trace 1 | tail -n 1 \
 			| $(PYTHON) -c '$(BENCH_TRACE_CHECK)' || exit 1; \
 	done
+
+# Every CLI verb once, each in a fresh interpreter, checked against its
+# documented exit code.  The verbs import what they run inside their
+# own bodies, and tests/test_cli.py runs them in a process that has
+# imported everything already, so only a fresh interpreter shows a
+# missing import.
+cli-smoke:
+	$(PYTHON) benchmarks/cli_smoke.py
 
 # Run-ledger views (docs/observability.md).  Tune with e.g.
 # `make report LEDGER=.repro-ledger`.

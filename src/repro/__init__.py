@@ -20,13 +20,26 @@ Quickstart::
 
 __version__ = "1.0.0"
 
-from .core import (  # noqa: E402  (re-exports form the public API)
-    SynthesisOptions,
-    SynthesizedDesign,
-    synthesize,
-    synthesize_cdfg,
-)
-from .lang import compile_source  # noqa: E402
+from typing import TYPE_CHECKING
+
+from ._lazy import lazy_exports
+
+# ``import repro`` loads nothing else: the command line parses its
+# arguments before a verb imports the flow (see ``_lazy``).
+if TYPE_CHECKING:  # pragma: no cover
+    from .core import (
+        SynthesisOptions,
+        SynthesizedDesign,
+        synthesize,
+        synthesize_cdfg,
+    )
+    from .lang import compile_source
+
+__getattr__ = lazy_exports(__name__, {
+    "core": ("SynthesisOptions", "SynthesizedDesign", "synthesize",
+             "synthesize_cdfg"),
+    "lang": ("compile_source",),
+})
 
 __all__ = [
     "SynthesisOptions",

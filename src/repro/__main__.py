@@ -67,14 +67,14 @@ from __future__ import annotations
 import argparse
 import sys
 import time
+from typing import TYPE_CHECKING
 
-from . import obs
-from .core import SynthesisOptions, synthesize
 from .errors import HLSError
-from .explore import explore_fu_range
-from .rtl import emit_verilog
-from .scheduling import ResourceConstraints
-from .sim import RTLSimulator, check_equivalence, default_vectors
+
+# Each verb imports what it runs, so ``--help`` and a mistyped
+# argument cost no synthesis imports.
+if TYPE_CHECKING:  # pragma: no cover
+    from .core import SynthesisOptions
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
@@ -164,6 +164,9 @@ def _parse_assume(specs: list[str] | None) -> tuple:
 
 
 def _options(args: argparse.Namespace) -> SynthesisOptions:
+    from .core import SynthesisOptions
+    from .scheduling import ResourceConstraints
+
     constraints = (
         ResourceConstraints({"fu": args.fu})
         if args.fu is not None
@@ -205,6 +208,8 @@ def _use_cache() -> bool:
 
 
 def cmd_synth(args: argparse.Namespace) -> int:
+    from .core import synthesize
+
     source = _read_source(args.file)
     design = synthesize(source, args.procedure, _options(args),
                         use_cache=_use_cache())
@@ -214,6 +219,8 @@ def cmd_synth(args: argparse.Namespace) -> int:
     for line in design.log:
         print(f"  {line}")
     if args.verify:
+        from .sim.equivalence import check_equivalence, default_vectors
+
         # A narrowed design is only equivalent for inputs inside the
         # trusted --assume contract; verification vectors must respect
         # it or the narrowed loop registers wrap (and may never exit).
@@ -230,6 +237,8 @@ def cmd_synth(args: argparse.Namespace) -> int:
         if not report.equivalent:
             return 1
     if args.output:
+        from .rtl import emit_verilog
+
         with open(args.output, "w") as handle:
             handle.write(emit_verilog(design))
         print(f"\nVerilog written to {args.output}")
@@ -237,6 +246,9 @@ def cmd_synth(args: argparse.Namespace) -> int:
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
+    from .core import synthesize
+    from .sim.rtl_sim import RTLSimulator
+
     source = _read_source(args.file)
     design = synthesize(source, args.procedure, _options(args),
                         use_cache=_use_cache())
@@ -268,11 +280,15 @@ def _parse_limits(text: str) -> list[int]:
 
 
 def cmd_explore(args: argparse.Namespace) -> int:
+    from .explore import (
+        default_directive_space,
+        explore_directives,
+        explore_fu_range,
+    )
+
     source = _read_source(args.file)
     limits = _parse_limits(args.limits)
     if args.directives:
-        from .explore import default_directive_space, explore_directives
-
         configs = default_directive_space(
             schedulers=args.schedulers.split(","),
             allocators=args.allocators.split(","),
@@ -295,6 +311,9 @@ def cmd_explore(args: argparse.Namespace) -> int:
 def _traced_run(args: argparse.Namespace):
     """Synthesize ``args.file`` with tracing on; returns (design,
     spans, latency-histogram deltas)."""
+    from . import obs
+    from .core import synthesize
+
     source = _read_source(args.file)
     obs.tracer().clear()
     before = obs.metrics().snapshot()
@@ -306,6 +325,8 @@ def _traced_run(args: argparse.Namespace):
 
 def cmd_profile(args: argparse.Namespace) -> int:
     import json
+
+    from . import obs
 
     design, records, histograms = _traced_run(args)
     options = _options(args)
@@ -333,6 +354,8 @@ def cmd_profile(args: argparse.Namespace) -> int:
 
 
 def cmd_trace(args: argparse.Namespace) -> int:
+    from . import obs
+
     design, records, _ = _traced_run(args)
     obs.write_chrome_trace(args.out, records,
                            process_name=f"repro {design.cdfg.name}")
@@ -362,6 +385,8 @@ def _append_cli_record(kind: str, workload: str, started: float,
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
+    from . import obs
+    from .core import synthesize
     from .core.engine import source_digest
     from .obs import ledger
     from .verify import run_differential, verify_design
@@ -394,6 +419,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
 def cmd_lint(args: argparse.Namespace) -> int:
     import json
 
+    from . import obs
     from .analysis.lint import LintOptions, lint_source, sarif_document
     from .obs import ledger
     from .workloads import DIFFEQ_SOURCE, SQRT_SOURCE, fir_source
@@ -445,6 +471,7 @@ def cmd_lint(args: argparse.Namespace) -> int:
 
 
 def cmd_fuzz(args: argparse.Namespace) -> int:
+    from . import obs
     from .obs import ledger
 
     started = time.perf_counter()

@@ -27,6 +27,9 @@ import these analyses) drives every rule family over a design and
 reports :class:`Diagnostic` records through a :class:`DiagnosticSink`.
 """
 
+from typing import TYPE_CHECKING
+
+from .._lazy import lazy_exports
 from .cfg import ENTRY, EXIT, ControlFlowGraph, build_cfg
 from .constants import (
     BOTTOM,
@@ -44,7 +47,6 @@ from .dataflow import (
     SetUnionAnalysis,
     solve,
 )
-from .diagnostics import SEVERITIES, Diagnostic, DiagnosticSink
 from .expressions import (
     EXPRESSION_KINDS,
     AvailableResult,
@@ -64,23 +66,6 @@ from .liveness import (
     live_out_variables,
     variable_liveness,
 )
-from .ranges import (
-    Interval,
-    RangesResult,
-    coerce_interval,
-    fits_type,
-    op_interval,
-    range_analysis,
-    refine_interval,
-    type_interval,
-)
-from .reaching import (
-    DefUseChains,
-    ReachingResult,
-    def_use_chains,
-    definition_is_uninitialized,
-    reaching_definitions,
-)
 from .usage import (
     SIDE_EFFECT_KINDS,
     VariableUsage,
@@ -88,6 +73,37 @@ from .usage import (
     transitively_dead_ops,
     variable_usage,
 )
+
+# The interval analysis (bitwidth narrowing, lint), reaching
+# definitions and diagnostics (lint) load with their first use.
+if TYPE_CHECKING:  # pragma: no cover
+    from .diagnostics import SEVERITIES, Diagnostic, DiagnosticSink
+    from .ranges import (
+        Interval,
+        RangesResult,
+        coerce_interval,
+        fits_type,
+        op_interval,
+        range_analysis,
+        refine_interval,
+        type_interval,
+    )
+    from .reaching import (
+        DefUseChains,
+        ReachingResult,
+        def_use_chains,
+        definition_is_uninitialized,
+        reaching_definitions,
+    )
+
+__getattr__ = lazy_exports(__name__, {
+    "diagnostics": ("SEVERITIES", "Diagnostic", "DiagnosticSink"),
+    "ranges": ("Interval", "RangesResult", "coerce_interval", "fits_type",
+               "op_interval", "range_analysis", "refine_interval",
+               "type_interval"),
+    "reaching": ("DefUseChains", "ReachingResult", "def_use_chains",
+                 "definition_is_uninitialized", "reaching_definitions"),
+})
 
 __all__ = [
     "ENTRY",

@@ -18,6 +18,9 @@ package provides the runtime both :mod:`repro.explore.parallel` and
 See ``docs/resilience.md`` for the failure model and policy table.
 """
 
+from typing import TYPE_CHECKING
+
+from .._lazy import lazy_exports
 from .faults import (
     CRASH_EXIT_STATUS,
     FAULT_ENV,
@@ -30,14 +33,23 @@ from .faults import (
     maybe_inject,
     parse_fault_spec,
 )
-from .runtime import (
-    TIMEOUT_ENV,
-    BatchResult,
-    TaskFailure,
-    TaskOutcome,
-    default_timeout_s,
-    run_tasks,
-)
+
+# The store's fault hook needs only ``faults``; the process-pool
+# runtime loads with the first batch.
+if TYPE_CHECKING:  # pragma: no cover
+    from .runtime import (
+        TIMEOUT_ENV,
+        BatchResult,
+        TaskFailure,
+        TaskOutcome,
+        default_timeout_s,
+        run_tasks,
+    )
+
+__getattr__ = lazy_exports(__name__, {
+    "runtime": ("TIMEOUT_ENV", "BatchResult", "TaskFailure", "TaskOutcome",
+                "default_timeout_s", "run_tasks"),
+})
 
 __all__ = [
     "CRASH_EXIT_STATUS",

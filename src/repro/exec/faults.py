@@ -27,7 +27,6 @@ parent-side serial fallback for that task runs clean.
 
 from __future__ import annotations
 
-import multiprocessing
 import os
 import time
 from dataclasses import dataclass
@@ -98,6 +97,8 @@ def parse_fault_spec(spec: str | None) -> tuple[FaultEntry, ...]:
 
 def in_worker_process() -> bool:
     """True inside a multiprocessing child (pool worker)."""
+    import multiprocessing  # only when a fault spec is in force
+
     return multiprocessing.parent_process() is not None
 
 

@@ -1,5 +1,8 @@
 """Design-space exploration (paper §1.2 / §3.1.1 iteration loops)."""
 
+from typing import TYPE_CHECKING
+
+from .._lazy import lazy_exports
 from .directives import (
     DirectiveConfig,
     DirectiveExplorationResult,
@@ -14,7 +17,12 @@ from .dse import (
     measure_cycles,
     search_for_latency,
 )
-from .parallel import ParallelExplorer
+
+# The process pool loads with the first sweep that asks for workers.
+if TYPE_CHECKING:  # pragma: no cover
+    from .parallel import ParallelExplorer
+
+__getattr__ = lazy_exports(__name__, {"parallel": ("ParallelExplorer",)})
 
 __all__ = [
     "DesignPoint",

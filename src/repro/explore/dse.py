@@ -54,12 +54,7 @@ from ..core.engine import (
 from ..estimation import estimate_area, estimate_timing
 from ..ir.cdfg import CDFG
 from ..lang import compile_source
-from ..obs import (
-    histogram_deltas,
-    metrics,
-    telemetry_summary,
-    trace_span,
-)
+from ..obs import histogram_deltas, metrics, trace_span
 from ..obs import ledger as run_ledger
 from ..scheduling import ResourceConstraints
 from ..sim.equivalence import default_vectors
@@ -147,6 +142,8 @@ class ExplorationResult:
         for failure in self.failures:
             lines.append(f" ! {failure.render()}")
         if self.telemetry is not None:
+            from ..obs import telemetry_summary
+
             lines.append(telemetry_summary(self.telemetry))
         return "\n".join(lines)
 

@@ -5,6 +5,9 @@ that the rest of the flow (and library users building CDFGs by hand)
 need.
 """
 
+from typing import TYPE_CHECKING
+
+from .._lazy import lazy_exports
 from .cdfg import (
     CDFG,
     BlockRegion,
@@ -21,7 +24,6 @@ from .dfg import (
     path_length_to_sink,
     topological_order,
 )
-from .dot import cdfg_dot, dataflow_dot
 from .opcodes import COMMUTATIVE, COMPARISONS, OpKind, op_info
 from .types import (
     BOOL,
@@ -34,6 +36,12 @@ from .types import (
     is_scalar,
 )
 from .values import BasicBlock, Operation, Value
+
+# DOT rendering loads with its first use.
+if TYPE_CHECKING:  # pragma: no cover
+    from .dot import cdfg_dot, dataflow_dot
+
+__getattr__ = lazy_exports(__name__, {"dot": ("cdfg_dot", "dataflow_dot")})
 
 __all__ = [
     "BOOL",

@@ -47,6 +47,11 @@ class Value:
         self.name = name
         self.uses: list[tuple[Operation, int]] = []
 
+    def __getstate__(self):
+        # Without ``uses``: the producer's block restores them.
+        return (None, {"id": self.id, "type": self.type,
+                       "producer": self.producer, "name": self.name})
+
     def __repr__(self) -> str:
         hint = f":{self.name}" if self.name else ""
         return f"v{self.id}{hint}"
@@ -75,6 +80,12 @@ class Operation:
         self.result: Value | None = None
         self.block = block
         self.attrs: dict[str, Any] = dict(attrs or {})
+
+    def __getstate__(self):
+        # Without ``operands``: the block restores them.
+        return (None, {"id": self.id, "kind": self.kind,
+                       "result": self.result, "block": self.block,
+                       "attrs": self.attrs})
 
     @property
     def info(self):
@@ -121,6 +132,31 @@ class BasicBlock:
         self.cdfg = cdfg
         self.name = name or f"bb{id}"
         self.ops: list[Operation] = []
+
+    # ------------------------------------------------------------------
+    # Pickling.  Operands and uses link the ops of a block into chains
+    # as long as the block; pickled through the objects themselves they
+    # nest one level per link, so a long chain exceeded the recursion
+    # limit.  Ops and values therefore pickle without their links, and
+    # their block carries them, in their exact order, after its ops: an
+    # op or value pickled on its own reaches the block through
+    # ``block``/``producer``.
+    # ------------------------------------------------------------------
+
+    def __getstate__(self):
+        links = [
+            (op.operands, op.result,
+             None if op.result is None else op.result.uses)
+            for op in self.ops
+        ]
+        return self.id, self.cdfg, self.name, self.ops, links
+
+    def __setstate__(self, state) -> None:
+        self.id, self.cdfg, self.name, self.ops, links = state
+        for op, (operands, result, uses) in zip(self.ops, links):
+            op.operands = operands
+            if result is not None:
+                result.uses = uses
 
     # ------------------------------------------------------------------
     # Emission API (used by the frontend lowering and by workloads that
@@ -180,6 +216,22 @@ class BasicBlock:
         for index, value in enumerate(op.operands):
             value.uses.remove((op, index))
         self.ops.remove(op)
+
+    def remove_ops(self, ops: list[Operation]) -> None:
+        """Remove dead operations (results unused) all at once: one pass
+        over the block's ops and one over each operand's use list,
+        however many of the removed ops read that operand."""
+        dead = {id(op) for op in ops}
+        operands: dict[int, Value] = {}
+        for op in ops:
+            if op.result is not None and op.result.uses:
+                raise IRError(f"cannot remove {op!r}: result still has uses")
+            for value in op.operands:
+                operands[id(value)] = value
+        for value in operands.values():
+            value.uses[:] = [use for use in value.uses
+                             if id(use[0]) not in dead]
+        self.ops = [op for op in self.ops if id(op) not in dead]
 
     def replace_all_uses(self, old: Value, new: Value) -> None:
         """Redirect every use of ``old`` to ``new``."""

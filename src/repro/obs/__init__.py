@@ -24,13 +24,15 @@ and :mod:`repro.obs.regression` (the median-of-N baseline verdicts).
 and :mod:`repro.obs.resource` adds opt-in per-stage heap-peak gauges.
 """
 
+from typing import TYPE_CHECKING
+
+from .._lazy import lazy_exports
 from .coverage import (
     EXCLUDED_COUNTER_PREFIXES,
     coverage_atoms,
     coverage_fingerprint,
     pow2_bucket,
 )
-from .export import chrome_trace, to_prometheus, write_chrome_trace
 from .metrics import (
     DEFAULT_LATENCY_BUCKETS_MS,
     Counter,
@@ -40,14 +42,6 @@ from .metrics import (
     histogram_deltas,
     metrics,
     reset_metrics,
-)
-from .report import (
-    CORE_STAGES,
-    PIPELINE_STAGES,
-    profile_json,
-    profile_table,
-    stage_totals,
-    telemetry_summary,
 )
 from .resource import (
     disable_memory,
@@ -69,6 +63,24 @@ from .tracer import (
     tracing,
     tracing_enabled,
 )
+
+# Exporters and the profile tables load with their first use.
+if TYPE_CHECKING:  # pragma: no cover
+    from .export import chrome_trace, to_prometheus, write_chrome_trace
+    from .report import (
+        CORE_STAGES,
+        PIPELINE_STAGES,
+        profile_json,
+        profile_table,
+        stage_totals,
+        telemetry_summary,
+    )
+
+__getattr__ = lazy_exports(__name__, {
+    "export": ("chrome_trace", "to_prometheus", "write_chrome_trace"),
+    "report": ("CORE_STAGES", "PIPELINE_STAGES", "profile_json",
+               "profile_table", "stage_totals", "telemetry_summary"),
+})
 
 __all__ = [
     "CORE_STAGES",

@@ -35,13 +35,11 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-import platform
 import sys
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Iterable, Mapping
 
 from .metrics import metrics
-from .report import stage_totals
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..core.design import SynthesizedDesign
@@ -320,6 +318,8 @@ def environment_fingerprint(source_digest: str | None = None,
     for the full options object; runs whose token differs are never
     compared by ``repro report``.
     """
+    import platform
+
     env = {
         "schema": LEDGER_SCHEMA_VERSION,
         "python": platform.python_version(),
@@ -411,6 +411,8 @@ def metrics_delta(before: Mapping, after: Mapping) -> dict:
 
 def stage_breakdown(span_records: Iterable) -> dict:
     """Per-stage call counts and total time from recorded spans."""
+    from .report import stage_totals
+
     return {
         stage: {"calls": entry["calls"],
                 "total_us": round(entry["total_us"], 1)}

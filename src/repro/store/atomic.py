@@ -6,7 +6,7 @@ content-addressed files that concurrent writers may race on.  The
 protocol is identical in both places, so it lives here once:
 
 1. write the full payload to a *uniquely named* temp file in the
-   final directory (pid + uuid keeps racing writers apart);
+   final directory (pid + 128 random bits keep racing writers apart);
 2. optionally fire the ``fault_label`` fault-injection hook — a
    deterministic crash point between temp-write and publish;
 3. ``os.replace`` the temp file onto the final path.
@@ -20,7 +20,6 @@ temp file for a later gc to reclaim.
 from __future__ import annotations
 
 import os
-import uuid
 from pathlib import Path
 
 from ..exec.faults import maybe_inject
@@ -45,7 +44,7 @@ def atomic_write_bytes(
     """
     final = Path(path)
     tmp = final.parent / (
-        f"{TMP_PREFIX}{final.stem[:8]}-{os.getpid()}-{uuid.uuid4().hex}"
+        f"{TMP_PREFIX}{final.stem[:8]}-{os.getpid()}-{os.urandom(16).hex()}"
     )
     try:
         final.parent.mkdir(parents=True, exist_ok=True)

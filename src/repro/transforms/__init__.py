@@ -7,6 +7,9 @@ reduction are opt-in (they trade area/register pressure for speed, a
 design-space decision rather than an always-win).
 """
 
+from typing import TYPE_CHECKING
+
+from .._lazy import lazy_exports
 from .base import Pass, PassManager, PassReport
 from .clone import RegionCloner, clone_cdfg
 from .constprop import ConstantFolding
@@ -14,11 +17,19 @@ from .counter import CounterNarrowing
 from .cse import CommonSubexpressionElimination
 from .dce import DeadCodeElimination
 from .if_conversion import IfConversion
-from .narrow import RangeNarrowing, narrowed_type
 from .strength import StrengthReduction
 from .tree_height import TreeHeightReduction
 from .tripcount import TripCountAnalysis, match_counter, simulate_trip_count
 from .unroll import LoopUnrolling
+
+# Bitwidth narrowing (and the interval analysis under it) loads with
+# the first synthesis that asks for it.
+if TYPE_CHECKING:  # pragma: no cover
+    from .narrow import RangeNarrowing, narrowed_type
+
+__getattr__ = lazy_exports(__name__, {
+    "narrow": ("RangeNarrowing", "narrowed_type"),
+})
 
 __all__ = [
     "CommonSubexpressionElimination",

@@ -13,8 +13,8 @@ The merge criterion is :func:`repro.analysis.expressions.expression_key`
 from __future__ import annotations
 
 from ..analysis.expressions import EXPRESSION_KINDS, expression_key
-from ..ir.cdfg import CDFG
-from ..ir.values import BasicBlock
+from ..ir.cdfg import CDFG, IfRegion, LoopRegion, Region
+from ..ir.values import BasicBlock, Operation, Value
 from .base import Pass
 
 #: Alias kept for existing importers; the analysis package owns the
@@ -28,16 +28,24 @@ class CommonSubexpressionElimination(Pass):
     name = "cse"
 
     def run(self, cdfg: CDFG) -> bool:
+        # The regions each loop or if condition steers, indexed once per
+        # run: a merged value may be one of those conditions.
+        conditions: dict[Value, list[Region]] = {}
+        for region in cdfg.body.walk():
+            if isinstance(region, (IfRegion, LoopRegion)):
+                conditions.setdefault(region.cond, []).append(region)
         changed = False
         for block in cdfg.blocks():
-            if self._run_block(block):
+            if self._run_block(block, conditions):
                 changed = True
         return changed
 
-    def _run_block(self, block: BasicBlock) -> bool:
-        changed = False
-        seen: dict[tuple, object] = {}
-        for op in list(block.ops):
+    @staticmethod
+    def _run_block(block: BasicBlock,
+                   conditions: dict[Value, list[Region]]) -> bool:
+        seen: dict[tuple, Value] = {}
+        merged: list[Operation] = []
+        for op in block.ops:
             key = expression_key(op)
             if key is None:
                 continue
@@ -45,18 +53,13 @@ class CommonSubexpressionElimination(Pass):
             if existing is None:
                 seen[key] = op.result
                 continue
-            block.replace_all_uses(op.result, existing)  # type: ignore[arg-type]
-            self._replace_region_conds(block, op.result, existing)
+            block.replace_all_uses(op.result, existing)
+            for region in conditions.pop(op.result, ()):
+                region.cond = existing
+                conditions.setdefault(existing, []).append(region)
             if not op.result.uses:
-                block.remove_op(op)
-                changed = True
-        return changed
-
-    @staticmethod
-    def _replace_region_conds(block: BasicBlock, old, new) -> None:
-        from ..ir.cdfg import IfRegion, LoopRegion
-
-        for region in block.cdfg.body.walk():
-            if isinstance(region, (IfRegion, LoopRegion)):
-                if region.cond is old:
-                    region.cond = new
+                merged.append(op)
+        # Merged ops leave together, not one list scan at a time.
+        if merged:
+            block.remove_ops(merged)
+        return bool(merged)

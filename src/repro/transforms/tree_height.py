@@ -158,9 +158,5 @@ class TreeHeightReduction(Pass):
         level[0].uses.append((root, 0))
         level[1].uses.append((root, 1))
 
-        for op in internals:
-            if op.result is not None and op.result.uses:
-                raise AssertionError("chain internal op still has uses")
-        dead = {op.id for op in internals}
-        block.ops = [op for op in block.ops if op.id not in dead]
+        block.remove_ops(internals)
         block.retopo()

@@ -22,6 +22,9 @@ of each stage's own raising ``validate()`` method, so the two
 implementations cross-check each other.
 """
 
+from typing import TYPE_CHECKING
+
+from .._lazy import lazy_exports
 from .contracts import (
     CONTRACTS,
     check_allocation,
@@ -31,48 +34,67 @@ from .contracts import (
     check_schedule,
     verify_design,
 )
-from .differential import (
-    DIFF_STAGE_ORDER,
-    ComboResult,
-    DifferentialReport,
-    PathResult,
-    check_all_paths,
-    check_cached_paths,
-    check_parallel_paths,
-    first_diverging_stage,
-    run_differential,
-)
-from .corpus import (
-    MUTATORS,
-    TIERS,
-    CaseResult,
-    Corpus,
-    CorpusCase,
-    CorpusEntry,
-    CorpusFinding,
-    CorpusReport,
-    FuzzTier,
-    MinimizeReport,
-    ReplayReport,
-    ReplayRow,
-    default_combos,
-    evaluate_case,
-    fixed_seed_cases,
-    fuzz_corpus,
-    minimize_corpus,
-    mutate_case,
-    replay_corpus,
-    seed_case,
-)
-from .fuzz import FuzzFailure, FuzzReport, check_seed, fuzz_seeds
-from .shrink import (
-    ShrinkResult,
-    describe_failure,
-    recipe_fails,
-    shrink_failure,
-    write_repro_script,
-)
 from .violations import STAGE_ORDER, VerificationReport, Violation
+
+# The differential engine and the fuzzers load with their first use.
+if TYPE_CHECKING:  # pragma: no cover
+    from .corpus import (
+        MUTATORS,
+        TIERS,
+        CaseResult,
+        Corpus,
+        CorpusCase,
+        CorpusEntry,
+        CorpusFinding,
+        CorpusReport,
+        FuzzTier,
+        MinimizeReport,
+        ReplayReport,
+        ReplayRow,
+        default_combos,
+        evaluate_case,
+        fixed_seed_cases,
+        fuzz_corpus,
+        minimize_corpus,
+        mutate_case,
+        replay_corpus,
+        seed_case,
+    )
+    from .differential import (
+        DIFF_STAGE_ORDER,
+        ComboResult,
+        DifferentialReport,
+        PathResult,
+        check_all_paths,
+        check_cached_paths,
+        check_parallel_paths,
+        first_diverging_stage,
+        run_differential,
+    )
+    from .fuzz import FuzzFailure, FuzzReport, check_seed, fuzz_seeds
+    from .shrink import (
+        ShrinkResult,
+        describe_failure,
+        recipe_fails,
+        shrink_failure,
+        write_repro_script,
+    )
+
+__getattr__ = lazy_exports(__name__, {
+    "corpus": ("MUTATORS", "TIERS", "CaseResult", "Corpus", "CorpusCase",
+               "CorpusEntry", "CorpusFinding", "CorpusReport", "FuzzTier",
+               "MinimizeReport", "ReplayReport", "ReplayRow",
+               "default_combos", "evaluate_case", "fixed_seed_cases",
+               "fuzz_corpus", "minimize_corpus", "mutate_case",
+               "replay_corpus", "seed_case"),
+    "differential": ("DIFF_STAGE_ORDER", "ComboResult", "DifferentialReport",
+                     "PathResult", "check_all_paths", "check_cached_paths",
+                     "check_parallel_paths", "first_diverging_stage",
+                     "run_differential"),
+    "fuzz": ("FuzzFailure", "FuzzReport", "check_seed", "fuzz_seeds"),
+    "shrink": ("ShrinkResult", "describe_failure", "recipe_fails",
+               "shrink_failure", "write_repro_script"),
+})
 
 __all__ = [
     "CONTRACTS",

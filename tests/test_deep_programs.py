@@ -10,6 +10,9 @@ it they synthesize too.  No case may raise ``RecursionError``.
 
 from __future__ import annotations
 
+import pickle
+import sys
+
 import pytest
 
 from repro.core import SynthesisOptions, synthesize_cdfg
@@ -83,6 +86,22 @@ def test_flat_chains_synthesize_at_every_size(shape, n):
     plain = _synthesize(source, tree_height=False)
     assert "module" in emit_verilog(plain)
     _synthesize(source, tree_height=True)
+
+
+def test_longest_chain_design_pickles_at_the_default_recursion_limit():
+    # The store and the parallel explorer pickle designs; a def-use
+    # chain must not nest the pickle one level per operator.
+    design = _synthesize(FLAT["flat-add"](SIZES[-1]), tree_height=False)
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)
+    try:
+        loaded = pickle.loads(
+            pickle.dumps(design, protocol=pickle.HIGHEST_PROTOCOL))
+    finally:
+        sys.setrecursionlimit(limit)
+    assert loaded.stage_signatures() == design.stage_signatures()
+    assert emit_verilog(loaded) == emit_verilog(design)
+    loaded.cdfg.validate()
 
 
 @pytest.mark.parametrize("n", SIZES)

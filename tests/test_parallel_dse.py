@@ -49,6 +49,19 @@ def test_sweep_matches_serial(source, n_jobs):
     assert rows(jobbed.pareto) == rows(serial.pareto)
 
 
+def test_long_chain_sweep_matches_serial():
+    # Worker results are pickled home; a 200-operator def-use chain
+    # used to exceed the recursion limit there and fail every point.
+    terms = " + ".join(f"a{index % 4}" for index in range(201))
+    source = ("procedure chain(input a0, a1, a2, a3: int<16>; "
+              f"output o: int<16>);\nbegin\n  o := {terms};\nend\n")
+    serial = explore_fu_range(source, LIMITS, use_cache=False)
+    jobbed = explore_fu_range(source, LIMITS, n_jobs=2, use_cache=False)
+    assert not serial.failures and not jobbed.failures
+    assert len(jobbed.points) == len(LIMITS)
+    assert rows(jobbed.points) == rows(serial.points)
+
+
 @pytest.mark.parametrize("n_jobs", [1, 4])
 def test_search_matches_serial(n_jobs):
     serial = search_for_latency(SQRT_SOURCE, 10, max_units=8)

@@ -139,6 +139,24 @@ def test_store_round_trip_across_cleared_lru(tmp_path):
     assert metrics().counter("store.hits").value == hits_before
 
 
+def test_store_keeps_a_long_chain_design(tmp_path):
+    # Pickling used to recurse once per def-use link, so a design of a
+    # few hundred chained operators never reached the disk.
+    terms = " + ".join(f"a{index % 4}" for index in range(401))
+    source = ("procedure chain(input a0, a1, a2, a3: int<16>; "
+              f"output o: int<16>);\nbegin\n  o := {terms};\nend\n")
+    configure_store(tmp_path / "designs")
+    options = SynthesisOptions(constraints=ResourceConstraints({"fu": 4}))
+    first = synthesize(source, options=options, use_cache=True)
+    assert metrics().counter("store.errors").value == 0
+    assert metrics().counter("store.persists").value == 1
+
+    clear_synthesis_cache()
+    second = synthesize(source, options=options, use_cache=True)
+    assert metrics().counter("store.hits").value == 1
+    assert second.stage_signatures() == first.stage_signatures()
+
+
 def test_corrupt_entry_is_a_miss_and_reclaimed(tmp_path):
     store = configure_store(tmp_path / "designs")
     options = SynthesisOptions()
