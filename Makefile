@@ -15,10 +15,12 @@ test-slow:
 
 # The fixed-seed differential fuzzing pass that ships inside tier-1,
 # plus a deterministic smoke-tier coverage-guided run (ephemeral
-# corpus, fixed master seed).
+# corpus, fixed master seed) and a two-seed sweep through the process
+# pool.
 fuzz-smoke:
 	$(PYTHON) -m pytest -q -m fuzz_smoke
 	$(PYTHON) -m repro fuzz run --tier smoke --budget 40 --master-seed 1
+	$(PYTHON) -m repro fuzz --seeds 2 --ops 8 --jobs 2
 
 # Fault-injection matrix: crashing/hanging/erroring workers against
 # the repro.exec runtime (docs/resilience.md).

@@ -11,12 +11,13 @@ Commands:
 * ``verify FILE``   — synthesize, run every stage contract, and
   optionally the full scheduler × allocator differential matrix.
 * ``fuzz``          — differentially fuzz random DFGs; shrink failures
-  and write repro scripts to ``artifacts/``.  Without a corpus this is
-  the fixed-seed sweep (replay one seed from a CI log with ``--seed``);
-  with ``--corpus DIR`` it runs the mutational, coverage-guided loop
-  (``fuzz run``), re-checks every stored entry (``fuzz replay``) or
-  drops entries that no longer add coverage (``fuzz minimize``).
-  ``--tier smoke|standard|deep`` picks the budget profile.
+  and write repro scripts to ``artifacts/``.  ``fuzz run`` is the
+  mutational, coverage-guided loop (``--corpus DIR`` persists it);
+  ``--seeds N`` makes it a fixed-seed sweep with no mutations (replay
+  one seed from a CI log with ``--seed``).  ``fuzz replay`` re-checks
+  every stored entry and ``fuzz minimize`` drops entries that no
+  longer add coverage.  ``--tier smoke|standard|deep`` picks the
+  budget profile.
 * ``lint FILE``     — run the whole-pipeline linter (source, schedule,
   allocation, netlist, controller rules); exit 2 on errors, 1 on
   warnings, 0 when clean.
@@ -490,13 +491,7 @@ def cmd_fuzz(args: argparse.Namespace) -> int:
 
 
 def _run_fuzz(args: argparse.Namespace) -> int:
-    from .verify import (
-        TIERS,
-        fuzz_corpus,
-        fuzz_seeds,
-        minimize_corpus,
-        replay_corpus,
-    )
+    from .verify import fuzz_corpus, minimize_corpus, replay_corpus
 
     if args.mode == "replay":
         if args.corpus is None:
@@ -513,29 +508,23 @@ def _run_fuzz(args: argparse.Namespace) -> int:
                               timeout_s=args.timeout).render())
         return 0
 
-    if args.corpus is not None or args.budget is not None:
-        report = fuzz_corpus(
-            args.corpus,
-            tier=args.tier,
-            budget=args.budget,
-            master_seed=args.master_seed,
-            jobs=args.jobs,
-            ops=args.ops,
-            inputs=args.inputs,
-            artifacts_dir=args.artifacts,
-            shrink=not args.no_shrink,
-            timeout_s=args.timeout,
-        )
-        print(report.render())
-        return 1 if not report.ok else 0
-
-    seeds = (args.seeds if args.seeds is not None
-             else TIERS[args.tier].seeds)
-    report = fuzz_seeds(
-        [args.seed] if args.seed is not None else seeds,
+    seeds = None
+    if args.seed is not None:
+        seeds = [args.seed]
+    elif args.seeds is not None:
+        seeds = list(range(1, args.seeds + 1))
+    budget = args.budget
+    if budget is None and seeds is not None:
+        budget = 0
+    report = fuzz_corpus(
+        args.corpus,
+        tier=args.tier,
+        budget=budget,
+        seeds=seeds,
+        master_seed=args.master_seed,
+        jobs=args.jobs,
         ops=args.ops,
         inputs=args.inputs,
-        jobs=args.jobs,
         artifacts_dir=args.artifacts,
         shrink=not args.no_shrink,
         timeout_s=args.timeout,
@@ -758,15 +747,15 @@ def main(argv: list[str] | None = None) -> int:
     fuzz.add_argument(
         "mode", nargs="?", choices=("run", "replay", "minimize"),
         default="run",
-        help="run: fuzz (fixed-seed, or coverage-guided with "
-        "--corpus/--budget); replay: re-check every corpus entry; "
+        help="run: the coverage-guided loop (a fixed-seed sweep "
+        "with --seeds/--seed); replay: re-check every corpus entry; "
         "minimize: drop corpus entries that no longer add coverage "
         "(default run)",
     )
     fuzz.add_argument(
         "--corpus", default=None,
-        help="corpus directory for coverage-guided fuzzing "
-        "(entries persist and accumulate across runs)",
+        help="corpus directory (entries persist and accumulate "
+        "across runs; default: in memory)",
     )
     fuzz.add_argument(
         "--tier", choices=("smoke", "standard", "deep"),
@@ -776,8 +765,8 @@ def main(argv: list[str] | None = None) -> int:
     )
     fuzz.add_argument(
         "--budget", type=int, default=None,
-        help="mutation budget for a coverage-guided run (default: "
-        "the tier's; implies corpus mode, in-memory if no --corpus)",
+        help="mutation budget (default: the tier's, or 0 with "
+        "--seeds/--seed)",
     )
     fuzz.add_argument(
         "--master-seed", type=int, default=1,
@@ -785,7 +774,8 @@ def main(argv: list[str] | None = None) -> int:
     )
     fuzz.add_argument(
         "--seeds", type=int, default=None,
-        help="fixed-seed sweep size (default: the tier's)",
+        help="sweep generator seeds 1..SEEDS, each under every "
+        "scheduler x allocator pair, instead of the tier's seed phase",
     )
     fuzz.add_argument(
         "--seed", type=int, default=None,
@@ -814,7 +804,7 @@ def main(argv: list[str] | None = None) -> int:
     )
     fuzz.add_argument(
         "--timeout", type=float, default=None,
-        help="per-seed wall-clock budget in seconds for parallel "
+        help="per-case wall-clock budget in seconds for parallel "
         "runs (default: env REPRO_TASK_TIMEOUT_S, else none)",
     )
     _add_ledger_flag(fuzz)

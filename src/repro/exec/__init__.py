@@ -2,9 +2,9 @@
 
 The paper's §1.2 promise — "produce several designs for the same
 specification in a reasonable amount of time" — only holds if one bad
-design point (or fuzz seed) cannot sink a whole parallel batch.  This
+design point (or fuzz case) cannot sink a whole parallel batch.  This
 package provides the runtime both :mod:`repro.explore.parallel` and
-:mod:`repro.verify.fuzz` delegate to:
+:mod:`repro.verify.corpus` delegate to:
 
 * :func:`run_tasks` — per-task submission with wall-clock timeouts,
   bounded retries with backoff, pool respawn on breakage, partial-

@@ -1,7 +1,7 @@
 """A fault-tolerant task runtime for process-pool fan-out.
 
 Both design-space exploration (:mod:`repro.explore.parallel`) and
-differential fuzzing (:mod:`repro.verify.fuzz`) used to hand a whole
+differential fuzzing (:mod:`repro.verify.corpus`) used to hand a whole
 batch to ``pool.map`` — one bad task then poisoned the batch: a
 crashed worker raised ``BrokenProcessPool`` and every completed
 result was discarded (and, in exploration, the *entire* sweep was
@@ -18,7 +18,11 @@ knows exactly which tasks finished.  The policy, per task:
   the task is resubmitted (bounded by ``max_retries``, exponential
   backoff) onto a freshly respawned pool; when retries are exhausted
   the task is *quarantined* and redone via the caller's serial
-  ``fallback`` in the parent process.
+  ``fallback`` in the parent process.  A broken pool fails every
+  future in flight, so a crash is charged only to a task that was in
+  flight alone: when several were, all go back free of charge as
+  *suspects*, and a suspect runs with nothing else in flight until
+  it completes or breaks a pool on its own.
 * **wall-clock timeout** — not retried in the pool (a hang is assumed
   deterministic); the hung pool is killed and respawned for the
   remaining tasks, the timed-out task is quarantined to the serial
@@ -186,16 +190,17 @@ def _kill_pool(pool: ProcessPoolExecutor) -> None:
     """Tear a (possibly hung or broken) pool down without blocking.
 
     ``shutdown(wait=True)`` would join a wedged worker forever, so the
-    worker processes are terminated outright first.  Touching
+    worker processes are terminated outright.  Touching
     ``_processes`` is unavoidable — the executor API offers no kill —
     but the attribute has been stable since 3.8 and everything here is
-    best-effort behind guards.
+    best-effort behind guards.  It is read before ``shutdown``, which
+    drops it.
     """
+    processes = list((getattr(pool, "_processes", None) or {}).values())
     try:
         pool.shutdown(wait=False, cancel_futures=True)
     except Exception:
         pass
-    processes = list((getattr(pool, "_processes", None) or {}).values())
     for process in processes:
         try:
             process.terminate()
@@ -216,6 +221,9 @@ class _TaskState:
     attempts: int = 0
     started: float = 0.0
     not_before: float = 0.0
+    #: In flight with others when a pool broke: runs alone from then
+    #: on, so a crash it causes is charged to it and to nothing else.
+    suspect: bool = False
 
 
 def run_tasks(
@@ -362,7 +370,8 @@ def _run_pool_phase(
 
     def resolve(future: Future, state: _TaskState) -> bool:
         """Fold one finished future into the books.  Returns True when
-        the pool must be treated as broken."""
+        it failed because the pool broke; the caller decides whom to
+        charge."""
         nonlocal stalled_respawns
         try:
             value = future.result(timeout=0)
@@ -375,12 +384,7 @@ def _run_pool_phase(
             state.attempts -= 1
             ready.append(state)
             return False
-        except BrokenProcessPool as error:
-            registry.counter("exec.tasks.crashed").inc()
-            retry_or_quarantine(
-                state, "crash",
-                str(error) or "worker process died unexpectedly",
-            )
+        except BrokenProcessPool:
             return True
         except Exception as error:
             if _is_pickling_error(error):
@@ -408,16 +412,35 @@ def _run_pool_phase(
             stalled_respawns += 1
         pool = None
 
-    def drain_and_respawn() -> None:
-        """Harvest whatever already finished, requeue the rest (free
-        of charge — they were collateral), and drop the pool."""
+    def drain_and_respawn(broken: Sequence[_TaskState] = ()) -> None:
+        """Harvest whatever already finished and drop the pool.
+
+        ``broken`` are tasks whose futures already failed with the
+        pool.  Every task still in flight was caught by the same
+        breakage (or by the kill that follows a timeout).  A crash is
+        charged only when one task was caught alone; otherwise all go
+        back free of charge, as suspects when the pool broke.
+        """
+        caught = list(broken)
+        pool_broke = bool(caught)
         for future in list(inflight):
             state = inflight.pop(future)
-            if future.done():
-                resolve(future, state)
-            else:
+            if not future.done():
+                caught.append(state)
+            elif resolve(future, state):
+                caught.append(state)
+                pool_broke = True
+        if pool_broke and len(caught) == 1:
+            (state,) = caught
+            registry.counter("exec.tasks.crashed").inc()
+            retry_or_quarantine(state, "crash",
+                                "worker process died unexpectedly")
+        else:
+            for state in sorted(caught, key=lambda s: s.index,
+                                reverse=True):
                 state.attempts -= 1
-                ready.append(state)
+                state.suspect = state.suspect or pool_broke
+                ready.appendleft(state)
         respawn()
 
     try:
@@ -454,11 +477,14 @@ def _run_pool_phase(
 
             # Submit while worker slots are free (in-flight tasks are
             # therefore genuinely executing, which is what makes the
-            # per-task deadline below meaningful).
-            while pool is not None and len(inflight) < pool_size:
+            # per-task deadline below meaningful).  A suspect only
+            # runs with nothing else in flight.
+            while (pool is not None and len(inflight) < pool_size
+                   and not any(s.suspect for s in inflight.values())):
                 eligible = next(
                     (i for i, s in enumerate(ready)
-                     if s.not_before <= now),
+                     if s.not_before <= now
+                     and not (s.suspect and inflight)),
                     None,
                 )
                 if eligible is None:
@@ -515,12 +541,13 @@ def _run_pool_phase(
             done, _ = wait(set(inflight), timeout=wait_for,
                            return_when=FIRST_COMPLETED)
 
-            broken = False
+            broken = []
             for future in done:
                 state = inflight.pop(future)
-                broken = resolve(future, state) or broken
+                if resolve(future, state):
+                    broken.append(state)
             if broken:
-                drain_and_respawn()
+                drain_and_respawn(broken)
                 continue
 
             # Deadline enforcement: quarantine hung tasks, then kill

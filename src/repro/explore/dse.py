@@ -350,9 +350,9 @@ def search_for_latency(
     changing the limit based on the results of the scheduling,
     rescheduling and so on until a satisfactory design has been found."
     Cycle counts are monotone non-increasing in the unit budget here,
-    so the loop is a binary search — or, with ``n_jobs > 1``, a
-    k-section search probing ``n_jobs`` limits per round, which finds
-    the same smallest feasible count.  Returns None when even
+    so the loop is a k-section search probing ``n_jobs`` limits per
+    round — a binary search at ``n_jobs=1``; every width finds the
+    same smallest feasible count.  Returns None when even
     ``max_units`` cannot meet the target.
 
     Unlike :func:`explore_fu_range`, a probe that permanently fails
@@ -369,42 +369,33 @@ def search_for_latency(
         return None
     best = ceiling
     low, high = 1, max_units
-    if n_jobs is not None and n_jobs > 1:
-        while low < high:
-            count = min(n_jobs, high - low)
-            probes = sorted({
-                low + ((i + 1) * (high - low)) // (count + 1)
-                for i in range(count)
-            })
-            points, failures = _map_points(builder, probes, n_jobs,
-                                           task_timeout_s)
-            if failures:
-                from ..errors import TaskExecutionError
-
-                rendered = "; ".join(f.render() for f in failures)
-                raise TaskExecutionError(
-                    f"latency search probe(s) failed: {rendered}",
-                    failures,
-                )
-            advanced = low
-            feasible = None
-            for probe, point in zip(probes, points):
-                if point.cycles <= target_cycles:
-                    feasible = (probe, point)
-                    break
-                advanced = probe + 1
-            if feasible is not None:
-                high, best = feasible
-            low = advanced
-        return best
+    width = max(1, n_jobs or 1)
     while low < high:
-        middle = (low + high) // 2
-        point = builder.build(middle)
-        if point.cycles <= target_cycles:
-            best = point
-            high = middle
-        else:
-            low = middle + 1
+        count = min(width, high - low)
+        probes = sorted({
+            low + ((i + 1) * (high - low)) // (count + 1)
+            for i in range(count)
+        })
+        points, failures = _map_points(builder, probes, n_jobs,
+                                       task_timeout_s)
+        if failures:
+            from ..errors import TaskExecutionError
+
+            rendered = "; ".join(f.render() for f in failures)
+            raise TaskExecutionError(
+                f"latency search probe(s) failed: {rendered}",
+                failures,
+            )
+        advanced = low
+        feasible = None
+        for probe, point in zip(probes, points):
+            if point.cycles <= target_cycles:
+                feasible = (probe, point)
+                break
+            advanced = probe + 1
+        if feasible is not None:
+            high, best = feasible
+        low = advanced
     return best
 
 

@@ -156,9 +156,9 @@ class Tracer:
 
     # -- reading --------------------------------------------------------
 
-    def records(self) -> list[SpanRecord]:
-        """The recorded spans, in start order."""
-        return list(self._records)
+    def records(self, start: int = 0) -> list[SpanRecord]:
+        """The recorded spans from index ``start`` on, in start order."""
+        return self._records[start:]
 
     def current_index(self) -> int | None:
         """Index of the innermost open span (None outside any span)."""
@@ -168,6 +168,10 @@ class Tracer:
         self._records.clear()
         self._stack.clear()
         self._epoch_ns = time.perf_counter_ns()
+
+    def truncate(self, length: int) -> None:
+        """Drop every record from index ``length`` on (all closed)."""
+        del self._records[length:]
 
     def __len__(self) -> int:
         return len(self._records)

@@ -12,14 +12,10 @@ The merge criterion is :func:`repro.analysis.expressions.expression_key`
 
 from __future__ import annotations
 
-from ..analysis.expressions import EXPRESSION_KINDS, expression_key
+from ..analysis.expressions import expression_key
 from ..ir.cdfg import CDFG, IfRegion, LoopRegion, Region
 from ..ir.values import BasicBlock, Operation, Value
 from .base import Pass
-
-#: Alias kept for existing importers; the analysis package owns the
-#: definition of "pure expression" now.
-_CSE_KINDS = EXPRESSION_KINDS
 
 
 class CommonSubexpressionElimination(Pass):

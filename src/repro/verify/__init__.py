@@ -11,11 +11,10 @@ This package answers "did the pipeline do something legal?" three ways:
   (and every paired code path: cached/uncached, serial/parallel)
   must agree with the behavioral reference,
   with failures localized to the first diverging stage;
-* **fuzzing** (:func:`fuzz_seeds`, :func:`fuzz_corpus`) — seeded
-  random DFGs through the full matrix, plus a mutational,
-  coverage-guided loop over a persisted corpus
-  (:mod:`repro.verify.corpus`); failing cases are shrunk to minimal
-  recipes and saved as standalone repro scripts.
+* **fuzzing** (:func:`fuzz_corpus`) — seeded random DFGs through
+  the full matrix, then a mutational, coverage-guided loop over a
+  persisted corpus (:mod:`repro.verify.corpus`); failing cases are
+  shrunk to minimal recipes and saved as standalone repro scripts.
 
 The checkers here deliberately re-derive stage legality independently
 of each stage's own raising ``validate()`` method, so the two
@@ -36,7 +35,7 @@ from .contracts import (
 )
 from .violations import STAGE_ORDER, VerificationReport, Violation
 
-# The differential engine and the fuzzers load with their first use.
+# The differential engine and the fuzzer load with their first use.
 if TYPE_CHECKING:  # pragma: no cover
     from .corpus import (
         MUTATORS,
@@ -71,7 +70,6 @@ if TYPE_CHECKING:  # pragma: no cover
         first_diverging_stage,
         run_differential,
     )
-    from .fuzz import FuzzFailure, FuzzReport, check_seed, fuzz_seeds
     from .shrink import (
         ShrinkResult,
         describe_failure,
@@ -91,7 +89,6 @@ __getattr__ = lazy_exports(__name__, {
                      "PathResult", "check_all_paths", "check_cached_paths",
                      "check_parallel_paths", "first_diverging_stage",
                      "run_differential"),
-    "fuzz": ("FuzzFailure", "FuzzReport", "check_seed", "fuzz_seeds"),
     "shrink": ("ShrinkResult", "describe_failure", "recipe_fails",
                "shrink_failure", "write_repro_script"),
 })
@@ -110,8 +107,6 @@ __all__ = [
     "CorpusFinding",
     "CorpusReport",
     "DifferentialReport",
-    "FuzzFailure",
-    "FuzzReport",
     "FuzzTier",
     "MinimizeReport",
     "PathResult",
@@ -128,14 +123,12 @@ __all__ = [
     "check_netlist",
     "check_parallel_paths",
     "check_schedule",
-    "check_seed",
     "default_combos",
     "describe_failure",
     "evaluate_case",
     "first_diverging_stage",
     "fixed_seed_cases",
     "fuzz_corpus",
-    "fuzz_seeds",
     "minimize_corpus",
     "mutate_case",
     "recipe_fails",

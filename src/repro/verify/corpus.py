@@ -1,14 +1,16 @@
 """Coverage-guided corpus fuzzing for the verification subsystem.
 
-The fixed-seed fuzzer (:mod:`repro.verify.fuzz`) replays the same
-generator distribution forever: every seed is a 12-op, 16-bit,
-unconstrained, feed-forward DFG pushed through the full combo matrix.
-This module upgrades it to a *mutational, coverage-guided* loop in the
-AFL/schemathesis corpus style:
+Every ``repro fuzz`` run is this module's loop, in the AFL/schemathesis
+corpus style:
 
 * a **case** (:class:`CorpusCase`) is a recipe plus the pipeline
   configuration it runs under — scheduler, allocator, FU budget —
   so the search space covers workload shape *and* pipeline paths;
+* the **seed phase** evaluates deterministic cases first: the tier's
+  ``init_seeds`` generator seeds, cycling the combo matrix, or — for
+  a fixed-seed sweep (``seeds=``) — each listed seed's recipe under
+  every scheduler × allocator pair.  A fixed-seed sweep is a run with
+  a zero mutation budget;
 * **mutators** (:data:`MUTATORS`) perturb a parent case: grow/shrink
   the op list, flip op kinds, rewire edges, change bit width or value
   domain, tighten/release the FU constraint, switch scheduler or
@@ -27,16 +29,18 @@ AFL/schemathesis corpus style:
   (atomic temp+rename, same protocol as the design store) so runs
   accumulate across processes and CI caches the directory;
 * failures never enter the corpus — they shrink to a minimal recipe
-  and land in ``artifacts/`` as standalone repro scripts, exactly
-  like fixed-seed findings.  Once fixed, a finding's case belongs in
+  and land in ``artifacts/`` as standalone repro scripts; a seed-phase
+  finding names its generator seed, so ``repro fuzz --seed N``
+  replays it.  Once fixed, a finding's case belongs in
   ``tests/corpus/`` as a permanent regression test.
 
 Budgets are tiered (:data:`TIERS`): ``smoke`` for deterministic CI
 gates, ``standard`` for local runs, ``deep`` for long hunts —
-Hypothesis-profile style.  Per-mutation evaluation parallelizes
-through the fault-tolerant :mod:`repro.exec` runtime; candidates are
-generated in deterministic batches, so the corpus a run produces
-depends only on ``(existing corpus, master_seed, jobs)``.
+Hypothesis-profile style.  Case evaluation parallelizes through the
+fault-tolerant :mod:`repro.exec` runtime, one task per case, so a
+crashed worker costs only its own case; candidates are generated in
+deterministic batches, so the corpus a run produces depends only on
+``(existing corpus, master_seed, jobs)``.
 """
 
 from __future__ import annotations
@@ -57,6 +61,7 @@ from ..obs import (
     trace_span,
     tracer,
     tracing,
+    tracing_enabled,
 )
 from ..scheduling import ResourceConstraints
 from ..store import atomic_write_bytes
@@ -162,28 +167,30 @@ class CorpusCase:
         )
 
 
+def _seed_recipe(seed: int, ops: int, inputs: int) -> DFGRecipe:
+    return dfg_recipe(RandomDFGSpec(ops=ops, inputs=inputs, seed=seed))
+
+
 def seed_case(seed: int, ops: int = 12, inputs: int = 4) -> CorpusCase:
     """The deterministic seed-phase case for one generator seed.
 
-    Recipes come from the legacy fixed-seed generator; the combo
-    cycles through the full matrix so the initial corpus already
-    spans every scheduler/allocator path.
+    The combo cycles through the full matrix so the initial corpus
+    already spans every scheduler/allocator path.
     """
     combos = default_combos()
     scheduler, allocator = combos[(seed - 1) % len(combos)]
-    recipe = dfg_recipe(RandomDFGSpec(ops=ops, inputs=inputs, seed=seed))
-    return CorpusCase(recipe=recipe, scheduler=scheduler,
-                      allocator=allocator)
+    return CorpusCase(recipe=_seed_recipe(seed, ops, inputs),
+                      scheduler=scheduler, allocator=allocator)
 
 
 def fixed_seed_cases(budget: int, ops: int = 12,
                      inputs: int = 4) -> list[CorpusCase]:
-    """What a fixed-seed run of the same budget exercises, case-ified.
+    """The cycled seed phase stretched to ``budget`` seeds.
 
-    One case per seed ``1..budget``, default-spec recipe (the only
-    distribution :func:`repro.verify.fuzz.fuzz_seeds` ever draws
-    from), cycling the combo matrix, never constrained.  Used as the
-    coverage baseline the mutational loop must beat.
+    One case per seed ``1..budget``, default-spec recipe, cycling the
+    combo matrix, never constrained: the tier's seed phase when
+    ``budget`` is its ``init_seeds``, and the coverage baseline the
+    mutational loop must beat at equal budget.
     """
     return [seed_case(seed, ops, inputs)
             for seed in range(1, budget + 1)]
@@ -401,7 +408,9 @@ def evaluate_case(case: CorpusCase, vector_count: int = 3) -> CaseResult:
     """
     registry = metrics()
     before = registry.snapshot()
-    mark = len(tracer().records())
+    spans = tracer()
+    mark = len(spans)
+    keep_spans = tracing_enabled()
     with tracing(True):
         report = run_differential(
             lambda: build_dfg(case.recipe),
@@ -411,9 +420,9 @@ def evaluate_case(case: CorpusCase, vector_count: int = 3) -> CaseResult:
             vector_count=vector_count,
             label=case.recipe.name,
         )
-    span_names = {
-        record.name for record in tracer().records()[mark:]
-    }
+    span_names = {record.name for record in spans.records(mark)}
+    if not keep_spans:
+        spans.truncate(mark)
     after = registry.snapshot()
     extra = set()
     for combo in report.combos:
@@ -590,12 +599,11 @@ class FuzzTier:
     name: str
     #: Mutational budget of a corpus run.
     mutations: int
-    #: Seed-phase cases evaluated before mutating.
+    #: Seed-phase cases evaluated before mutating, when no seed list
+    #: is given.
     init_seeds: int
     #: Recipe size cap mutations may grow to.
     max_ops: int
-    #: Fixed-seed sweep budget (``repro fuzz`` without a corpus).
-    seeds: int
     #: Wall-clock safety valve in seconds (budgets stay the
     #: determinism knob; the cap only stops runaway deep runs).
     wall_clock_s: float
@@ -603,11 +611,11 @@ class FuzzTier:
 
 TIERS: dict[str, FuzzTier] = {
     "smoke": FuzzTier("smoke", mutations=40, init_seeds=4,
-                      max_ops=16, seeds=10, wall_clock_s=120.0),
+                      max_ops=16, wall_clock_s=120.0),
     "standard": FuzzTier("standard", mutations=200, init_seeds=8,
-                         max_ops=24, seeds=25, wall_clock_s=600.0),
+                         max_ops=24, wall_clock_s=600.0),
     "deep": FuzzTier("deep", mutations=1000, init_seeds=16,
-                     max_ops=32, seeds=200, wall_clock_s=3600.0),
+                     max_ops=32, wall_clock_s=3600.0),
 }
 
 
@@ -618,7 +626,7 @@ TIERS: dict[str, FuzzTier] = {
 
 @dataclass
 class CorpusFinding:
-    """A mutation that broke the pipeline (shrunk, scripted)."""
+    """A case that broke the pipeline (shrunk, scripted)."""
 
     case: CorpusCase
     summary: str
@@ -643,6 +651,8 @@ class CorpusReport:
 
     tier: str
     master_seed: int
+    #: Cases run, seed phase and mutations, crashed ones included.
+    cases: int = 0
     mutations: int = 0
     corpus_size: int = 0
     new_entries: list[CorpusEntry] = field(default_factory=list)
@@ -659,13 +669,16 @@ class CorpusReport:
 
     def render(self) -> str:
         verdict = "PASS" if self.ok else "FAIL"
-        lines = [
+        header = (
             f"corpus fuzz [{self.tier}]: {verdict} "
-            f"({self.mutations} mutations, "
+            f"({self.cases} cases, {self.mutations} mutations, "
             f"{len(self.new_entries)} new coverage, "
             f"{self.corpus_size} corpus entries, "
-            f"{len(self.findings)} failing)"
-        ]
+            f"{len(self.findings)} failing"
+        )
+        if self.task_failures:
+            header += f", {len(self.task_failures)} crashed"
+        lines = [header + ")"]
         lines.extend(
             f"  + {entry.fingerprint} {entry.case.describe()} "
             f"[{entry.found_by}]"
@@ -685,6 +698,7 @@ def fuzz_corpus(
     *,
     tier: str = "standard",
     budget: int | None = None,
+    seeds: Sequence[int] | None = None,
     master_seed: int = 1,
     jobs: int = 1,
     ops: int = 12,
@@ -700,6 +714,10 @@ def fuzz_corpus(
         corpus_dir: persisted corpus directory (None = in-memory).
         tier: budget profile (:data:`TIERS`).
         budget: mutation count; overrides the tier's.
+        seeds: generator seeds for the seed phase, each run under
+            every scheduler × allocator pair (None: the tier's
+            ``init_seeds``, cycling the pairs).  With ``budget=0``
+            this is a fixed-seed sweep.
         master_seed: the run's single source of randomness — the
             corpus produced is a pure function of (existing corpus,
             master_seed, jobs, budget).
@@ -711,7 +729,10 @@ def fuzz_corpus(
             run.
         shrink: delta-debug failing recipes before scripting them.
         max_seconds: wall-clock safety valve (default: the tier's).
-        timeout_s: per-case budget for parallel evaluation.
+        timeout_s: per-case budget for parallel evaluation.  A case
+            whose worker crashed or hung is reported in
+            ``report.task_failures`` under its key, never rerun in
+            this process.
     """
     if tier not in TIERS:
         raise ValueError(
@@ -749,7 +770,7 @@ def fuzz_corpus(
                     case.recipe,
                     lambda candidate: recipe_fails(
                         candidate, [case.scheduler],
-                        [case.allocator], fu_limit=case.fu_limit,
+                        [case.allocator], case.options(),
                     ),
                 ).shrunk
                 finding.shrunk = shrunk
@@ -773,17 +794,28 @@ def fuzz_corpus(
         population.append(entry)
         report.new_entries.append(entry)
 
+    if seeds is None:
+        seed_phase = list(enumerate(
+            fixed_seed_cases(tier_cfg.init_seeds, ops, inputs), start=1))
+    else:
+        seed_phase = []
+        for number in seeds:
+            recipe = _seed_recipe(number, ops, inputs)
+            seed_phase.extend(
+                (number, CorpusCase(recipe, scheduler, allocator))
+                for scheduler, allocator in default_combos()
+            )
+
     with trace_span("fuzz.corpus", tier=tier, budget=budget,
                     jobs=jobs):
         # Seed phase: deterministic baseline population.  Already-known
         # cases (from a restored corpus) are not re-evaluated.
         seed_batch = [
-            (case, "seed")
-            for case in (seed_case(number, ops, inputs)
-                         for number in
-                         range(1, tier_cfg.init_seeds + 1))
+            (case, f"seed {number}")
+            for number, case in seed_phase
             if case.key not in known_keys
         ]
+        report.cases += len(seed_batch)
         results, failures = _evaluate_batch(
             [case for case, _ in seed_batch], jobs, timeout_s)
         report.task_failures.extend(failures)
@@ -800,8 +832,7 @@ def fuzz_corpus(
                 break
             parent_pool = (
                 [entry.case for entry in population]
-                or [seed_case(number, ops, inputs)
-                    for number in range(1, tier_cfg.init_seeds + 1)]
+                or [case for _, case in seed_phase]
             )
             batch: list[tuple[CorpusCase, str, str | None]] = []
             while (len(batch) < batch_size
@@ -818,6 +849,7 @@ def fuzz_corpus(
                     )
                 batch.append((candidate, mutator, parent.key))
             report.mutations += len(batch)
+            report.cases += len(batch)
             registry.counter("fuzz.corpus.mutations").inc(len(batch))
             results, failures = _evaluate_batch(
                 [case for case, _, _ in batch], jobs, timeout_s)

@@ -14,6 +14,7 @@ import os
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
+from ..core.engine import SynthesisOptions
 from ..workloads.random_dfg import DFGRecipe, build_dfg, shrink_recipe
 from .differential import DifferentialReport, run_differential
 
@@ -32,29 +33,17 @@ class ShrinkResult:
         return self.original.op_count - self.shrunk.op_count
 
 
-def _constrained_options(fu_limit: int | None):
-    """Synthesis options for an FU-limited repro, or None."""
-    if fu_limit is None:
-        return None
-    from ..core import SynthesisOptions
-    from ..scheduling import ResourceConstraints
-
-    return SynthesisOptions(
-        constraints=ResourceConstraints({"fu": fu_limit})
-    )
-
-
 def recipe_fails(recipe: DFGRecipe,
                  schedulers: Sequence[str],
                  allocators: Sequence[str],
-                 fu_limit: int | None = None) -> bool:
+                 options: SynthesisOptions | None = None) -> bool:
     """True when the differential engine finds any failure."""
     try:
         report = run_differential(
             lambda: build_dfg(recipe),
             schedulers=schedulers,
             allocators=allocators,
-            options=_constrained_options(fu_limit),
+            options=options,
             label=recipe.name,
         )
     except Exception:

@@ -14,7 +14,7 @@ Generation is split into two steps so failures can be *shrunk*:
 ``random_dfg(spec) == build_dfg(dfg_recipe(spec))`` by construction,
 and :func:`shrink_recipe` delta-debugs a failing recipe — deleting ops
 and rewiring edges while a caller-supplied predicate keeps failing —
-until it is locally minimal.  The fuzzer (:mod:`repro.verify.fuzz`)
+until it is locally minimal.  The fuzzer (:mod:`repro.verify.corpus`)
 embeds the shrunk recipe in a standalone repro script.
 """
 

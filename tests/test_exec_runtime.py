@@ -6,6 +6,7 @@ runs when a real worker crashes, hangs, or errors out — no
 monkeypatching of ``concurrent.futures`` internals.
 """
 
+import multiprocessing
 import pickle
 
 import pytest
@@ -77,18 +78,17 @@ def test_negative_max_retries_rejected():
 
 def test_crash_exhausts_retries_then_falls_back():
     """A deterministically crashing task is retried, quarantined, and
-    redone by the parent-side fallback; the healthy tasks are kept."""
+    redone by the parent-side fallback; the healthy tasks are kept.
+    The crash breaks a pool with all four tasks in flight, yet only
+    the crasher is charged: the bystanders succeed on resubmission."""
     calls = []
 
     def fallback(payload, index):
         calls.append(index)
         return double(payload)
 
-    # max_workers=1 keeps the crash's blast radius deterministic: a
-    # BrokenProcessPool fails every in-flight future, so with a wider
-    # pool an innocent co-tenant could absorb attempt penalties too.
     batch = run_tasks(
-        double, [1, 2, 3, 4], max_workers=1, max_retries=1,
+        double, [1, 2, 3, 4], max_workers=4, max_retries=1,
         fallback=fallback, fault_spec="crash:2",
     )
     assert batch.ok
@@ -97,9 +97,12 @@ def test_crash_exhausts_retries_then_falls_back():
     crashed = batch.outcomes[2]
     assert crashed.degraded
     assert crashed.attempts == 2  # initial + one retry
-    assert not batch.outcomes[0].degraded
+    for index in (0, 1, 3):
+        assert not batch.outcomes[index].degraded
+        assert batch.outcomes[index].attempts == 1
     got = counters()
-    assert got["exec.tasks.crashed"] >= 2
+    assert got["exec.tasks.crashed"] == 2
+    assert got["exec.tasks.retried"] == 1
     assert got["exec.pool.respawns"] >= 1
     assert got["exec.tasks.degraded"] == 1
 
@@ -119,18 +122,35 @@ def test_crash_without_fallback_is_a_structured_failure():
     assert counters()["exec.tasks.failed"] == 1
 
 
+def test_pool_that_breaks_on_every_task_ends_unavailable():
+    """When every task crashes its worker, the respawn backstop gives
+    up on the pool: the tasks end as ``pool-unavailable`` and go to
+    the parent, not to crash quarantine one by one."""
+    def fallback(payload, index):
+        raise RuntimeError("parent run refused")
+
+    batch = run_tasks(double, [1, 2, 3, 4], max_workers=2,
+                      fallback=fallback, fault_spec="crash")
+    assert [f.kind for f in batch.failures] == ["pool-unavailable"] * 4
+    assert all("parent run refused" in f.message
+               for f in batch.failures)
+
+
 # ----------------------------------------------------------------- timeouts
 
 
 def test_hung_task_times_out_and_falls_back(monkeypatch):
     """A hang costs its timeout budget, not the injected hang length,
-    and only the hung task is redone."""
+    and only the hung task is redone.  The hung worker is killed, not
+    left sleeping for the interpreter's exit to wait on."""
     monkeypatch.setenv("REPRO_FAULT_HANG_S", "30")
+    children = set(multiprocessing.active_children())
     batch = run_tasks(
         double, [1, 2, 3], max_workers=2, timeout_s=1.0, max_retries=0,
         fallback=lambda payload, index: double(payload),
         fault_spec="hang:1",
     )
+    assert set(multiprocessing.active_children()) <= children
     assert batch.ok
     assert batch.values() == [2, 4, 6]
     assert batch.outcomes[1].degraded

@@ -21,8 +21,8 @@ from repro.explore import (
     search_for_latency,
 )
 from repro.explore.dse import _PointBuilder
-from repro.verify import fuzz_seeds
-from repro.workloads import SQRT_SOURCE
+from repro.verify import CorpusCase, fuzz_corpus
+from repro.workloads import SQRT_SOURCE, RandomDFGSpec, dfg_recipe
 
 pytestmark = pytest.mark.fault_smoke
 
@@ -76,6 +76,14 @@ class TestExploreFaultTolerance:
         points = [r for r in spans if r.name == "dse.point"]
         assert len(points) == len(LIMITS8)
         assert any(r.name == "exec.serial_fallback" for r in spans)
+        # Only the crasher and the hang fall back to the parent: the
+        # healthy points the crash caught in flight are not charged.
+        assert got["exec.tasks.degraded"] == 2
+        fallbacks = {
+            r.attrs["task"]: r.attrs["cause"]
+            for r in spans if r.name == "exec.serial_fallback"
+        }
+        assert fallbacks == {"2": "crash", "5": "timeout"}
 
     def test_completed_points_survive_a_genuine_error(self):
         """Regression for the serial-fallback bug: one failing point
@@ -152,47 +160,47 @@ class TestExploreFaultTolerance:
 class TestFuzzFaultTolerance:
     def test_crashed_seed_is_reported_not_retried(self, monkeypatch,
                                                   tmp_path):
-        """A crashing seed is a finding: reported with its seed
-        number, while completed seeds keep their results."""
-        import repro.verify.fuzz as fuzz_mod
+        """A crashing case is a finding: reported under its key, never
+        rerun in the parent, while every other case keeps its result.
+        The crash breaks a 2-wide pool, yet only the crasher is
+        charged."""
+        crasher = CorpusCase(
+            dfg_recipe(RandomDFGSpec(ops=8, inputs=3, seed=2)),
+            "list", "left-edge",
+        )
+        monkeypatch.setenv("REPRO_FAULT", f"crash:{crasher.key}")
 
-        original = fuzz_mod.run_tasks
-
-        def one_worker(*args, **kwargs):
-            # A 1-wide pool keeps the crash's blast radius
-            # deterministic (BrokenProcessPool fails every in-flight
-            # future, so a co-tenant seed could be penalized too).
-            kwargs["max_workers"] = 1
-            return original(*args, **kwargs)
-
-        monkeypatch.setattr(fuzz_mod, "run_tasks", one_worker)
-        monkeypatch.setenv("REPRO_FAULT", "crash:2")
-
-        report = fuzz_seeds([1, 2, 3], ops=8, inputs=3, jobs=2,
-                            shrink=False, artifacts_dir=str(tmp_path))
+        report = fuzz_corpus(None, seeds=[1, 2, 3], budget=0, ops=8,
+                             inputs=3, jobs=2, shrink=False,
+                             artifacts_dir=str(tmp_path))
         assert not report.ok
-        assert report.failures == []  # healthy seeds found no bugs
+        assert report.findings == []  # healthy cases found no bugs
         (crashed,) = report.task_failures
-        assert crashed.label == "2"
+        assert crashed.label == crasher.key
         assert crashed.kind == "crash"
         rendered = report.render()
         assert "1 crashed" in rendered
-        assert "seed 2: worker crash" in rendered
+        assert f"case {crasher.key}: worker crash" in rendered
 
         got = counters()
-        assert got["fuzz.seeds.checked"] == 2
-        assert got["fuzz.seeds.crashed"] == 1
+        assert got["fuzz.corpus.cases"] == report.cases - 1
+        assert got["exec.tasks.crashed"] == 3  # 1 + max_retries
+        assert got.get("exec.tasks.degraded", 0) == 0
 
     def test_serial_and_parallel_runs_agree(self, tmp_path):
-        serial = fuzz_seeds([1, 2], ops=8, inputs=3, jobs=1,
-                            shrink=False, artifacts_dir=str(tmp_path))
-        serial_checked = counters()["fuzz.seeds.checked"]
+        serial = fuzz_corpus(None, seeds=[1, 2], budget=0, ops=8,
+                             inputs=3, jobs=1, shrink=False,
+                             artifacts_dir=str(tmp_path))
+        serial_cases = counters()["fuzz.corpus.cases"]
         obs.reset_metrics()
-        parallel = fuzz_seeds([1, 2], ops=8, inputs=3, jobs=2,
-                              shrink=False,
-                              artifacts_dir=str(tmp_path))
-        assert counters()["fuzz.seeds.checked"] == serial_checked == 2
+        parallel = fuzz_corpus(None, seeds=[1, 2], budget=0, ops=8,
+                               inputs=3, jobs=2, shrink=False,
+                               artifacts_dir=str(tmp_path))
+        assert counters()["fuzz.corpus.cases"] == serial_cases == 70
         assert serial.task_failures == [] == parallel.task_failures
-        assert ([f.seed for f in parallel.failures]
-                == [f.seed for f in serial.failures])
+        assert ([f.case.key for f in parallel.findings]
+                == [f.case.key for f in serial.findings])
+        assert ([(e.key, e.fingerprint) for e in parallel.new_entries]
+                == [(e.key, e.fingerprint) for e in serial.new_entries])
         assert parallel.ok == serial.ok
+        assert parallel.render() == serial.render()

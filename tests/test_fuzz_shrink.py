@@ -1,7 +1,8 @@
-"""Recipe-based DFG generation, the shrinking reducer, and the fuzzer
-front end (including repro-script artifacts).
+"""Recipe-based DFG generation, the shrinking reducer, and fixed-seed
+sweeps through the fuzz loop (including repro-script artifacts).
 """
 
+import runpy
 import subprocess
 import sys
 from pathlib import Path
@@ -13,9 +14,13 @@ from repro.errors import SchedulingError
 from repro.scheduling import ListScheduler
 from repro.sim import BehavioralSimulator, default_vectors
 from repro.verify import (
-    check_seed,
-    fuzz_seeds,
+    CorpusCase,
+    default_combos,
+    evaluate_case,
+    fuzz_corpus,
+    minimize_corpus,
     recipe_fails,
+    replay_corpus,
     shrink_failure,
     write_repro_script,
 )
@@ -114,38 +119,63 @@ class _MulHatingScheduler(ListScheduler):
 
 class TestFuzzer:
     def test_clean_seeds_pass(self, tmp_path):
-        report = fuzz_seeds(
-            3, ops=8, artifacts_dir=str(tmp_path),
-            schedulers=["list", "asap"], allocators=["left-edge"],
-        )
+        """A clean sweep evaluates every seed under every pair, leaves
+        no artifacts/, and its corpus replays and minimizes clean."""
+        corpus = tmp_path / "corpus"
+        artifacts = tmp_path / "artifacts"
+        report = fuzz_corpus(corpus, seeds=[1, 2, 3], budget=0, ops=6,
+                             artifacts_dir=str(artifacts))
         assert report.ok, report.render()
-        assert report.seeds == [1, 2, 3]
-        assert not list(tmp_path.iterdir())
+        assert report.cases == 3 * len(default_combos())
+        assert report.mutations == 0
+        assert {e.found_by for e in report.new_entries} <= {
+            "seed 1", "seed 2", "seed 3"}
+        assert not artifacts.exists()
+        entries = len(report.new_entries)
+        assert report.render().startswith(
+            f"corpus fuzz [standard]: PASS ({report.cases} cases, "
+            f"0 mutations, {entries} new coverage"
+        )
+        replay = replay_corpus(corpus)
+        assert replay.render().startswith(
+            f"corpus replay: PASS ({entries} entries, 0 failing, "
+            f"0 drifted)"
+        )
+        assert minimize_corpus(corpus).render() == (
+            f"corpus minimize: kept {entries} of {entries} entries "
+            f"({entries} fingerprints preserved)"
+        )
 
     def test_check_seed_reports_failure_summary(self, monkeypatch):
         monkeypatch.setitem(SCHEDULERS, "mul-hater",
                             _MulHatingScheduler)
-        ok, summary = check_seed(
-            1, ops=12, schedulers=["mul-hater"],
-            allocators=["left-edge"],
-        )
-        assert not ok
-        assert "mul-hater" in summary and "scheduling" in summary
+        case = CorpusCase(dfg_recipe(RandomDFGSpec(ops=12, seed=1)),
+                          "mul-hater", "left-edge")
+        result = evaluate_case(case)
+        assert not result.ok
+        assert ("mul-hater" in result.summary
+                and "scheduling" in result.summary)
 
     def test_injected_bug_shrinks_to_small_repro(self, monkeypatch,
                                                  tmp_path):
         """Acceptance: an artificially injected scheduler bug fuzzed
-        at jobs=1 yields a shrunk repro of at most 8 ops."""
+        at jobs=1 yields a shrunk repro of at most 8 ops, whose
+        finding names its seed and whose script exits 1 while the bug
+        is in."""
         monkeypatch.setitem(SCHEDULERS, "mul-hater",
                             _MulHatingScheduler)
-        report = fuzz_seeds(
-            [2], ops=12, jobs=1, artifacts_dir=str(tmp_path),
-            schedulers=["list", "mul-hater"],
-            allocators=["left-edge"],
+        report = fuzz_corpus(
+            None, seeds=[2], budget=0, ops=12, jobs=1,
+            artifacts_dir=str(tmp_path),
         )
         assert not report.ok
-        failure = report.failures[0]
-        assert failure.seed == 2
+        assert report.cases == len(default_combos())
+        assert {f.case.scheduler for f in report.findings} == {
+            "mul-hater"}
+        failure = report.findings[0]
+        assert failure.found_by == "seed 2"
+        assert "[seed 2]" in failure.render()
+        assert "mul-hater x" in failure.render()
         assert failure.shrunk is not None
         assert failure.shrunk.op_count <= 8
         assert _has_mul(failure.shrunk)
@@ -153,6 +183,8 @@ class TestFuzzer:
         assert script.exists()
         text = script.read_text()
         assert "mul-hater" in text and "DFGRecipe" in text
+        assert "seed 2" in text
+        assert runpy.run_path(str(script))["main"]() == 1
 
     def test_repro_script_runs_standalone(self, tmp_path):
         """A generated script is a complete program: on a recipe whose

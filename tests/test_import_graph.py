@@ -35,7 +35,7 @@ IMPORT_STATEMENT = (
 )
 
 #: Loaded by none of the benchmark's jobs: the process pool and the
-#: standard-library modules of rare paths, the fuzzers, the
+#: standard-library modules of rare paths, the fuzzer, the
 #: differential engine, VHDL, testbenches, floorplanning, logic
 #: minimization, microcode, DOT, bitwidth narrowing and the lint-only
 #: analyses.
@@ -48,7 +48,6 @@ OPTIONAL = [
     "repro.exec.runtime",
     "repro.explore.parallel",
     "repro.verify.corpus",
-    "repro.verify.fuzz",
     "repro.verify.shrink",
     "repro.verify.differential",
     "repro.rtl.vhdl",

@@ -362,14 +362,30 @@ class TestSweepTelemetry:
         assert "sweep telemetry:" not in result.table()
 
     def test_fuzz_counters(self, tmp_path):
-        from repro.verify import fuzz_seeds
+        from repro.verify import fuzz_corpus
 
-        fuzz_seeds(2, ops=6, artifacts_dir=str(tmp_path / "artifacts"))
+        fuzz_corpus(None, seeds=[1, 2], budget=0, ops=6,
+                    artifacts_dir=str(tmp_path / "artifacts"))
         counters = obs.metrics().counters()
-        assert counters["fuzz.seeds.checked"] == 2
+        assert counters["fuzz.corpus.cases"] == 70
         # reset() keeps registered keys alive at zero, so check the
         # value rather than key absence
-        assert counters.get("fuzz.seeds.failing", 0) == 0
+        assert counters.get("fuzz.corpus.failing", 0) == 0
+        assert counters.get("fuzz.corpus.mutations", 0) == 0
+
+    def test_fuzz_cases_leave_the_tracer_as_they_found_it(self):
+        """A case records spans for its coverage and drops them again
+        unless tracing was already on; the fingerprints agree."""
+        from repro.verify import evaluate_case, seed_case
+
+        cases = [seed_case(seed, ops=6) for seed in range(1, 5)]
+        mark = len(obs.tracer())
+        untraced = [evaluate_case(case).fingerprint for case in cases]
+        assert len(obs.tracer()) == mark
+        with obs.tracing():
+            traced = [evaluate_case(case).fingerprint for case in cases]
+        assert len(obs.tracer()) > mark
+        assert traced == untraced
 
 
 class TestHistogramPercentiles:

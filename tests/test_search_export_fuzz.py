@@ -2,15 +2,16 @@
 
 import json
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import synthesize
 from repro.errors import FrontendError
-from repro.explore import explore_fu_range, search_for_latency
+from repro.explore import dse, explore_fu_range, search_for_latency
 from repro.lang import parse, tokenize
 from repro.scheduling import ResourceConstraints
-from repro.workloads import SQRT_SOURCE
+from repro.workloads import DIFFEQ_SOURCE, SQRT_SOURCE
 
 
 class TestLatencySearch:
@@ -64,6 +65,32 @@ class TestLatencySearch:
         assert serial.constraints.limit("fu") == \
             parallel.constraints.limit("fu") == 2
         assert serial.cycles == parallel.cycles
+
+    @pytest.mark.parametrize("source, target, max_units, limits, found", [
+        (SQRT_SOURCE, 9, 5, [5], None),
+        (SQRT_SOURCE, 10, 12, [12, 6, 3, 2, 1], 2),
+        (SQRT_SOURCE, 19, 7, [7, 4, 2, 1], 1),
+        (DIFFEQ_SOURCE, 3, 7, [7, 4, 2, 3], 3),
+        (DIFFEQ_SOURCE, 3, 12, [12, 6, 3, 2], 3),
+        (DIFFEQ_SOURCE, 3, 16, [16, 8, 4, 2, 3], 3),
+        (DIFFEQ_SOURCE, 4, 5, [5, 3, 2, 1], 2),
+    ])
+    def test_serial_probe_sequence_is_the_bisection(
+            self, monkeypatch, source, target, max_units, limits, found):
+        """At n_jobs=1 the search builds the ceiling, then exactly the
+        limits a binary search probes, in its order."""
+        built = []
+        build = dse._PointBuilder.build
+
+        def recording_build(builder, limit):
+            built.append(limit)
+            return build(builder, limit)
+
+        monkeypatch.setattr(dse._PointBuilder, "build", recording_build)
+        point = search_for_latency(source, target, max_units=max_units)
+        assert built == limits
+        assert (None if point is None
+                else point.constraints.limit("fu")) == found
 
 
 class TestJSONExport:

@@ -113,4 +113,12 @@ class TestVerifyCLIGolden:
             "--artifacts", str(tmp_path / "artifacts"),
         ]) == 0
         out = capsys.readouterr().out
-        assert "fuzz: PASS (2 seeds, 0 failing)" in out
+        assert "PASS (70 cases, 0 mutations" in out
+        assert main([
+            "fuzz", "--seed", "17", "--ops", "6",
+            "--artifacts", str(tmp_path / "artifacts"),
+        ]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert "PASS (35 cases, 0 mutations" in lines[0]
+        assert all(line.endswith("[seed 17]") for line in lines[1:])
+        assert not (tmp_path / "artifacts").exists()
