@@ -32,6 +32,9 @@ def verbs(scratch: Path) -> list[tuple[int, list[str]]]:
              "-o", str(scratch / "sqrt.v"), "--ledger", ledger]),
         (0, ["simulate", SQRT, "X=0.5", "--fu", "2"]),
         (0, ["explore", SQRT, "--limits", "1,2,3", "--jobs", "2"]),
+        (0, ["explore", SQRT, "--directives", "--limits", "1,2"]),
+        (2, ["explore", SQRT, "--directives", "--limits", "1,2",
+             "--prune-margin", "-1"]),
         (0, ["verify", SQRT, "--fu", "2"]),
         (0, ["fuzz", "--seed", "1", "--ops", "8",
              "--artifacts", str(scratch / "artifacts")]),

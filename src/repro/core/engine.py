@@ -413,21 +413,28 @@ class ScheduleMemo:
             self._schedules[key] = schedule
 
 
-def transform_cdfg(cdfg: CDFG, options: SynthesisOptions) -> list[str]:
+def transform_cdfg(cdfg: CDFG,
+                   options: SynthesisOptions) -> tuple[list[str], frozenset]:
     """The transforms stage: run the IR optimizations the options ask
     for, then range narrowing, on ``cdfg`` in place.
 
-    Returns the stage's log lines.  Every path that transforms a CDFG
-    before synthesizing it comes through here, so a compile-once
-    template and a per-run synthesis apply the same passes.
+    Returns the stage's log lines and the names of the IR optimization
+    passes that fired (the optimizer's ``PassReport.applied``).  A pass
+    that never fired left the graph untouched, so the same run without
+    it makes the very same graph — directive DSE shares templates on
+    this.  Every path that transforms a CDFG before synthesizing it
+    comes through here, so a compile-once template and a per-run
+    synthesis apply the same passes.
     """
     log: list[str] = []
+    fired: frozenset = frozenset()
     if options.optimize_ir:
         with memory_span("transforms"):
             report = optimize(cdfg, unroll=options.unroll,
                               tree_height=options.tree_height,
                               if_conversion=options.if_conversion)
         log.append(f"optimize: {report}")
+        fired = frozenset(report.applied)
     if options.narrow:
         from ..transforms.narrow import RangeNarrowing
 
@@ -436,7 +443,7 @@ def transform_cdfg(cdfg: CDFG, options: SynthesisOptions) -> list[str]:
         with memory_span("transforms"), trace_span("pass.range-narrow"):
             narrow_pass.run(cdfg)
         log.append(f"narrow: {narrow_pass.summary()}")
-    return log
+    return log, fired
 
 
 def schedule_block(block: BasicBlock, scheduler: str,
@@ -517,7 +524,7 @@ def _synthesize_cdfg(cdfg: CDFG, options: SynthesisOptions,
     model = options.model or UniversalFUModel()
     constraints = options.constraints or ResourceConstraints.unlimited()
 
-    log = transform_cdfg(cdfg, options)
+    log, _ = transform_cdfg(cdfg, options)
 
     if options.scheduler not in SCHEDULERS:
         raise HLSError(f"unknown scheduler {options.scheduler!r}")
@@ -691,7 +698,7 @@ def synthesize(source: str, procedure: str | None = None,
                 if use_cache:
                     record_design(digest, procedure, options, design)
         if ledger is not None:
-            span_records = (tracer().records()[span_base:]
+            span_records = (tracer().records(span_base)
                             if tracing_enabled() else ())
             record = ledger.build_record(
                 "synth", design.cdfg.name,

@@ -194,9 +194,13 @@ def _kill_pool(pool: ProcessPoolExecutor) -> None:
     ``_processes`` is unavoidable — the executor API offers no kill —
     but the attribute has been stable since 3.8 and everything here is
     best-effort behind guards.  It is read before ``shutdown``, which
-    drops it.
+    drops it, and so is the executor's manager thread: that thread
+    joins the same workers, and a worker it reaps first stays listed
+    by ``multiprocessing.active_children()`` until it is done, so the
+    teardown waits for it too.
     """
     processes = list((getattr(pool, "_processes", None) or {}).values())
+    manager = getattr(pool, "_executor_manager_thread", None)
     try:
         pool.shutdown(wait=False, cancel_futures=True)
     except Exception:
@@ -211,6 +215,8 @@ def _kill_pool(pool: ProcessPoolExecutor) -> None:
             process.join(timeout=0.5)
         except Exception:
             pass
+    if manager is not None:
+        manager.join(timeout=0.5)
 
 
 @dataclass

@@ -10,11 +10,15 @@ exhaustively would run the full synthesize+measure pipeline per cell.
 :func:`explore_directives` searches that cross-product through a
 ScaleHLS-style multi-level funnel instead:
 
-1. **Estimate** — each transform variant is compiled and transformed
-   once into a template; structurally identical templates are deduped
-   (a directive that does not fire produces the very same graph), and
-   the cheap :class:`~repro.estimation.QoRModel` bounds prune
-   (config, limit) cells whose estimate is dominated.
+1. **Estimate** — each distinct transform variant is compiled and
+   transformed once into a template.  Variants with more directives
+   are built first, and a variant's template also serves every variant
+   that only drops directives which never fired in its run (a pass
+   that does not fire leaves the graph untouched, so the run without
+   it makes the very same graph): on sqrt, diffeq and FIR-8 the eight
+   variants take two builds.  Structurally identical templates are
+   then deduped, and the cheap :class:`~repro.estimation.QoRModel`
+   bounds prune (config, limit) cells whose estimate is dominated.
 2. **Schedule-only** — survivors run the pipeline to the schedule
    stage: the engine's :func:`~repro.core.engine.schedule_block` on
    every block of the template, into the template's
@@ -26,14 +30,16 @@ ScaleHLS-style multi-level funnel instead:
    regular :class:`~repro.explore.dse._PointBuilder` machinery over
    the same template and memo, so the full build reuses level 2's
    schedules instead of making them again; then the two-tier design
-   cache, measurement memoization, and — with ``n_jobs > 1`` — the
-   fault-tolerant :mod:`repro.exec` fan-out (workers schedule on
-   their own templates).
+   cache, measurement memoization — one memo per template, so a
+   design another config already made on it is simulated once — and,
+   with ``n_jobs > 1``, the fault-tolerant :mod:`repro.exec` fan-out
+   (workers schedule on their own templates and measure every point).
 
 Pruning at levels 1–2 is *heuristic* (the area figure is not a bound,
 and estimates cannot see scheduler quality); ``prune_margin`` trades
-exploration completeness against full-pipeline runs.  Dedup at level 1
-is exact — identical graphs synthesize identically.
+exploration completeness against full-pipeline runs.  Template sharing
+and dedup at level 1 are exact — identical graphs synthesize
+identically.
 """
 
 from __future__ import annotations
@@ -61,9 +67,11 @@ from ..ir.cdfg import (
 from ..obs import histogram_deltas, metrics, trace_span
 from ..obs import ledger as run_ledger
 from ..scheduling import ResourceConstraints, UniversalFUModel
+from ..transforms import IfConversion, LoopUnrolling, TreeHeightReduction
 from .dse import (
     DesignPoint,
     ExplorationResult,
+    _compile_template,
     _map_points,
     _PointBuilder,
 )
@@ -73,6 +81,11 @@ from .dse import (
 #: funnel must prune back down.
 DEFAULT_SCHEDULERS = ("list", "force-directed")
 DEFAULT_ALLOCATORS = ("left-edge",)
+
+#: The pass each switch of :attr:`DirectiveConfig.transforms` adds to
+#: the optimizer, in the same order.
+_DIRECTIVE_PASSES = (LoopUnrolling.name, TreeHeightReduction.name,
+                     IfConversion.name)
 
 
 @dataclass(frozen=True)
@@ -293,7 +306,9 @@ def explore_directives(
         prune_margin: estimate-dominance slack — a cell is pruned only
             when another cell beats it by this relative margin on both
             axes.  0 prunes on any strict dominance; raise it to keep
-            near-dominated cells in play.
+            near-dominated cells in play (``inf`` never prunes).  A
+            negative or NaN margin raises :class:`HLSError`, as does
+            an empty ``configs``.
         ranking_trips: trip count the ranking latency assumes for
             unknown-trip loops.
 
@@ -310,6 +325,15 @@ def explore_directives(
     base = options or SynthesisOptions()
     configs = list(configs) if configs is not None else \
         default_directive_space()
+    if not configs:
+        raise HLSError("explore_directives needs at least one "
+                       "directive configuration")
+    # Negated so that NaN is refused too: a negative or NaN margin
+    # prunes cells that nothing dominates.  inf never prunes.
+    if not prune_margin >= 0:
+        raise HLSError(
+            f"prune margin must be 0 or more, got {prune_margin!r}"
+        )
     for config in configs:
         if config.scheduler not in SCHEDULERS:
             raise HLSError(f"unknown scheduler {config.scheduler!r}")
@@ -406,26 +430,28 @@ def _run_funnel(source, limits, configs, resource_class, base, vectors,
                 ranking_trips, model,
                 result: DirectiveExplorationResult) -> dict:
     """Levels 1–3; fills ``result`` and returns the funnel counters."""
-    # ---- Level 1a: one template per transform combination, deduped
-    # by structure (a directive that does not fire changes nothing).
-    builders: dict[tuple, _PointBuilder] = {}
+    # ---- Level 1a: one template per transform combination, each
+    # distinct graph built once, then deduped by structure.  The owner
+    # of a signature is the first combination in config order.
+    templates = _share_templates(source, configs, base)
     signature_of: dict[tuple, tuple] = {}
     canonical: dict[tuple, tuple] = {}  # signature -> owning transforms
+    signatures: dict[ScheduleMemo, tuple] = {}
     for config in configs:
         transforms = config.transforms
-        if transforms in builders:
+        if transforms in signature_of:
             continue
-        builder = _PointBuilder(
-            source, resource_class, config.apply(base), vectors,
-            use_cache,
-        )
-        signature = _cdfg_signature(builder.template().cdfg)
-        builders[transforms] = builder
-        signature_of[transforms] = signature
-        canonical.setdefault(signature, transforms)
+        memo = templates[transforms]
+        if memo not in signatures:
+            signatures[memo] = _cdfg_signature(memo.cdfg)
+        signature_of[transforms] = signatures[memo]
+        canonical.setdefault(signatures[memo], transforms)
 
     # Shared measurement vectors: one batch for every cell.
-    first = builders[configs[0].transforms]
+    first = _PointBuilder(
+        source, resource_class, configs[0].apply(base), vectors,
+        use_cache, template=templates[configs[0].transforms],
+    )
     first.ensure_vectors()
     shared_vectors = first.vectors
 
@@ -448,7 +474,7 @@ def _run_funnel(source, limits, configs, resource_class, base, vectors,
     for (transforms, _, _), config in claimed.items():
         if transforms not in qor_models:
             qor_models[transforms] = QoRModel(
-                builders[transforms].template().cdfg,
+                templates[transforms].cdfg,
                 model=model, library=base.library,
                 ranking_trips=ranking_trips,
             )
@@ -486,7 +512,7 @@ def _run_funnel(source, limits, configs, resource_class, base, vectors,
         key = (transforms, limit, config.scheduler)
         if key not in scheduled:
             scheduled[key] = _scheduled_latency(
-                builders[transforms].template(), qor_models[transforms],
+                templates[transforms], qor_models[transforms],
                 config.scheduler, model,
                 ResourceConstraints({resource_class: limit}),
             )
@@ -516,13 +542,16 @@ def _run_funnel(source, limits, configs, resource_class, base, vectors,
     by_config: dict[DirectiveConfig, tuple[tuple, list]] = {}
     for config, transforms, limit in kept:
         by_config.setdefault(config, (transforms, []))[1].append(limit)
+    measurements: dict[tuple, dict] = {}
     for config, (transforms, config_limits) in by_config.items():
-        # Each transform combination owns exactly one template: every
-        # config riding on it shares its CDFG and schedule memo.
+        # Every config riding on a template shares its CDFG, schedule
+        # memo and measurement memo: a design another config already
+        # made on it (same schedules and allocations) is measured once.
         cfg_builder = _PointBuilder(
             source, resource_class, config.apply(base),
             shared_vectors, use_cache,
-            template=builders[transforms].template(),
+            template=templates[transforms],
+            measurements=measurements.setdefault(transforms, {}),
         )
         points, failures = _map_points(
             cfg_builder, config_limits, n_jobs, task_timeout_s
@@ -549,6 +578,36 @@ def _run_funnel(source, limits, configs, resource_class, base, vectors,
         "schedule_failed": schedule_failed,
         "configs_evaluated": evaluated,
     }
+
+
+def _share_templates(source: str, configs: Sequence[DirectiveConfig],
+                     base: SynthesisOptions) -> dict[tuple, ScheduleMemo]:
+    """The template of every transform combination in ``configs``,
+    compiling and transforming each distinct graph once.
+
+    Combinations with more directives are built first.  A directive
+    pass that never fired left the CDFG untouched (the
+    :class:`~repro.transforms.Pass` contract), so the run without it
+    makes the very same sequence of graphs, op ids included: a
+    combination's template serves every combination that differs from
+    it only by dropping directives that never fired in its run.
+    """
+    options: dict[tuple, SynthesisOptions] = {}
+    for config in configs:
+        options.setdefault(config.transforms, config.apply(base))
+    templates: dict[tuple, ScheduleMemo] = {}
+    for transforms in sorted(options, key=sum, reverse=True):
+        if transforms in templates:
+            continue
+        memo, fired = _compile_template(source, options[transforms])
+        needed = tuple(name in fired for name in _DIRECTIVE_PASSES)
+        for other in options:
+            if other not in templates and all(
+                need <= wanted <= have
+                for need, wanted, have in zip(needed, other, transforms)
+            ):
+                templates[other] = memo
+    return templates
 
 
 def _scheduled_latency(memo: ScheduleMemo, qor_model: QoRModel,

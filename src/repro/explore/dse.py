@@ -175,6 +175,19 @@ def _design_signature(design: SynthesizedDesign) -> tuple:
     return (signatures["scheduling"], signatures["allocation"])
 
 
+def _compile_template(source: str, options: SynthesisOptions,
+                     ) -> tuple[ScheduleMemo, frozenset]:
+    """Compile ``source`` and run the transforms stage on it once.
+
+    Returns the template's :class:`~repro.core.engine.ScheduleMemo`
+    (its ``.cdfg`` is the transformed graph) and the names of the IR
+    passes that fired (:func:`~repro.core.engine.transform_cdfg`).
+    """
+    cdfg = compile_source(source)
+    _, fired = transform_cdfg(cdfg, options)
+    return ScheduleMemo(cdfg), fired
+
+
 class _PointBuilder:
     """Synthesizes and measures one design point per resource limit.
 
@@ -187,8 +200,15 @@ class _PointBuilder:
     made for a point's knobs is reused.  Builders that differ only in
     scheduler or allocator can share one template: pass another
     builder's :meth:`template` as ``template``.  Synthesized designs
-    additionally go through the two-tier design cache, and measurements
-    are memoized per distinct design.  Factory callables are invoked
+    additionally go through the two-tier design cache.
+
+    Measurements are memoized per distinct design of the template: a
+    design whose schedules and allocations equal those of one already
+    measured over the same CDFG and vectors measures the same.  The
+    memo belongs to the template, not to the builder — builders that
+    share a template and vectors (directive DSE's configs on one
+    template) pass one dict as ``measurements`` and measure each
+    distinct design once between them.  Factory callables are invoked
     per point, exactly as before (the factory owns freshness).
     """
 
@@ -200,6 +220,7 @@ class _PointBuilder:
         vectors: Sequence[dict] | None,
         use_cache: bool = True,
         template: ScheduleMemo | None = None,
+        measurements: dict[tuple, tuple[int, float, float]] | None = None,
     ) -> None:
         self.source_or_factory = source_or_factory
         self.resource_class = resource_class
@@ -212,7 +233,7 @@ class _PointBuilder:
             else None
         )
         self._template = template
-        self._measure_memo: dict[tuple, tuple[int, float, float]] = {}
+        self._measure_memo = {} if measurements is None else measurements
 
     def template(self) -> ScheduleMemo:
         """The schedule memo of the compiled-and-transformed CDFG
@@ -225,9 +246,8 @@ class _PointBuilder:
         full synthesis.
         """
         if self._template is None:
-            cdfg = compile_source(self.source_or_factory)
-            transform_cdfg(cdfg, self.base)
-            self._template = ScheduleMemo(cdfg)
+            self._template, _ = _compile_template(self.source_or_factory,
+                                                  self.base)
         return self._template
 
     def build(self, limit: int) -> DesignPoint:

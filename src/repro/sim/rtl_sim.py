@@ -14,12 +14,18 @@ arithmetic modelling difference.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
-from ..core.design import SynthesizedDesign
 from ..errors import SimulationError
 from ..ir.opcodes import OpKind
 from ..ir.types import Type
 from .semantics import Number, coerce, evaluate
+
+# Annotation only: importing repro.core here would make the transforms
+# package (constant folding evaluates through repro.sim.semantics)
+# reach the engine before it has finished loading.
+if TYPE_CHECKING:  # pragma: no cover
+    from ..core.design import SynthesizedDesign
 
 DEFAULT_MAX_CYCLES = 10_000_000
 

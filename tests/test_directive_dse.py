@@ -8,11 +8,18 @@ narrowing hoisted out of the per-point loop, and zero-trip pre-test
 loops unrolling to an empty sequence.
 """
 
+from pathlib import Path
+
 import pytest
 
 from repro.core import clear_synthesis_cache, synthesize
-from repro.core.engine import ScheduleMemo, SynthesisOptions, synthesize_cdfg
-from repro.estimation import QoRModel
+from repro.core.engine import (
+    ScheduleMemo,
+    SynthesisOptions,
+    synthesize_cdfg,
+    transform_cdfg,
+)
+from repro.estimation import QoRModel, estimate_area, estimate_timing
 from repro.explore import (
     DirectiveConfig,
     DirectivePoint,
@@ -21,15 +28,16 @@ from repro.explore import (
     explore_fu_range,
     search_for_latency,
 )
+from repro.explore.directives import _cdfg_signature
 from repro.explore.dse import _PointBuilder, measure_cycles
 from repro.errors import HLSError
 from repro.lang import compile_source
 from repro.obs import ledger as run_ledger
-from repro.obs import metrics
+from repro.obs import metrics, tracer, tracing
 from repro.obs.regression import compare
 from repro.rtl import emit_verilog
 from repro.scheduling import ResourceConstraints, Schedule
-from repro.sim.equivalence import check_behavioral_equivalence
+from repro.sim.equivalence import check_behavioral_equivalence, default_vectors
 from repro.transforms import LoopUnrolling, clone_cdfg, optimize
 from repro.verify import run_differential
 from repro.workloads import (
@@ -39,10 +47,24 @@ from repro.workloads import (
     fir_source,
 )
 
+ROOT = Path(__file__).resolve().parents[1]
+
 #: In-contract vectors that actually run diffeq's integration loop —
 #: the default corner vectors all start at ``x0 == a``, so the loop
 #: body never executes and every directive looks latency-identical.
 DIFFEQ_VECTORS = [diffeq_inputs(steps) for steps in (2, 4, 8)]
+
+#: The paper programs a directive sweep is pinned on.
+PAPER_SWEEPS = [SQRT_SOURCE, DIFFEQ_SOURCE, fir_source(8)]
+PAPER_SWEEP_IDS = ["sqrt", "diffeq", "fir8"]
+
+
+def sweep_vectors(source):
+    """diffeq's loop-running vectors, else the corner vectors a sweep
+    generates for itself."""
+    if source == DIFFEQ_SOURCE:
+        return DIFFEQ_VECTORS
+    return default_vectors(compile_source(source), count=4)
 
 
 def rows(points):
@@ -168,23 +190,29 @@ class TestDirectiveFunnel:
                                       point.clock_ns)
 
     def test_parallel_matches_serial(self):
-        limits = [1, 2]
-        serial = explore_directives(DIFFEQ_SOURCE, limits,
-                                    vectors=DIFFEQ_VECTORS,
-                                    use_cache=False)
-        clear_synthesis_cache()
-        jobbed = explore_directives(DIFFEQ_SOURCE, limits,
-                                    vectors=DIFFEQ_VECTORS,
-                                    n_jobs=2, use_cache=False)
-        serial_rows = sorted(
-            (p.config.label(), *row)
-            for p, row in zip(serial.points, rows(serial.points))
-        )
-        jobbed_rows = sorted(
-            (p.config.label(), *row)
-            for p, row in zip(jobbed.points, rows(jobbed.points))
-        )
-        assert jobbed_rows == serial_rows
+        """Workers measure every point on their own templates; the
+        serial sweep shares templates and measurements across configs.
+        Both report the same rows."""
+        for source in PAPER_SWEEPS:
+            vectors = sweep_vectors(source)
+            clear_synthesis_cache()
+            serial = explore_directives(source, [1, 2, 3],
+                                        vectors=vectors,
+                                        use_cache=False)
+            clear_synthesis_cache()
+            jobbed = explore_directives(source, [1, 2, 3],
+                                        vectors=vectors,
+                                        n_jobs=2, use_cache=False)
+            serial_rows = sorted(
+                (p.config.label(), *row)
+                for p, row in zip(serial.points, rows(serial.points))
+            )
+            jobbed_rows = sorted(
+                (p.config.label(), *row)
+                for p, row in zip(jobbed.points, rows(jobbed.points))
+            )
+            assert jobbed_rows == serial_rows
+            assert not jobbed.failures
 
     def test_rejects_factories_and_unknown_schedulers(self):
         with pytest.raises(HLSError):
@@ -195,6 +223,29 @@ class TestDirectiveFunnel:
                 SQRT_SOURCE, [1],
                 configs=[DirectiveConfig(scheduler="no-such")],
             )
+
+    @pytest.mark.parametrize("margin", [-0.2, -1.0, float("nan")])
+    def test_rejects_unsound_prune_margins(self, margin):
+        """A negative margin prunes cells nothing dominates (4 of 6
+        evaluated on sqrt at -0.2) and NaN prunes every cell."""
+        with pytest.raises(HLSError, match="prune margin"):
+            explore_directives(SQRT_SOURCE, [1, 2, 3],
+                               prune_margin=margin, use_cache=False)
+
+    def test_rejects_empty_config_list(self):
+        with pytest.raises(HLSError, match="at least one"):
+            explore_directives(SQRT_SOURCE, [1], configs=[])
+
+    def test_infinite_prune_margin_never_prunes(self):
+        result = explore_directives(SQRT_SOURCE, [1, 2],
+                                    prune_margin=float("inf"),
+                                    use_cache=False)
+        assert result.funnel["estimate_pruned"] == 0
+        assert result.funnel["schedule_pruned"] == 0
+        assert result.funnel["configs_evaluated"] == (
+            result.funnel["exhaustive"]
+            - result.funnel["duplicates_pruned"]
+        )
 
     def test_metrics_and_ledger_record(self, tmp_path):
         before = metrics().snapshot()["counters"]
@@ -282,6 +333,127 @@ def test_one_schedule_per_funnel_cell(monkeypatch, source, schedules,
         assert emit_verilog(point.design) == emit_verilog(full)
 
 
+@pytest.mark.parametrize("source,runs,memoized", [
+    (SQRT_SOURCE, 5, 1),
+    (DIFFEQ_SOURCE, 10, 0),
+    (fir_source(8), 3, 3),
+], ids=PAPER_SWEEP_IDS)
+def test_one_build_per_graph_one_measurement_per_design(source, runs,
+                                                        memoized):
+    """The eight transform combinations make two graphs on the paper
+    programs (tree-height and if-conversion never fire on them, unroll
+    never fires on diffeq), so a sweep compiles and transforms twice,
+    not once per combination.  Configs on one template share its
+    measurement memo: a design another config already made there
+    (equal schedules and allocations) is not simulated again.  Every
+    point still measures what a from-scratch synthesis of its cell
+    measures on the sweep's vectors."""
+    vectors = sweep_vectors(source)
+    before = metrics().snapshot()["counters"]
+    start = len(tracer())
+    with tracing(True):
+        result = explore_directives(source, [1, 2, 3], vectors=vectors,
+                                    use_cache=False)
+    after = metrics().snapshot()["counters"]
+    names = [record.name for record in tracer().records(start)]
+    assert names.count("compile") == 2
+    assert names.count("transforms") == 2
+
+    def moved(key):
+        return after.get(key, 0) - before.get(key, 0)
+
+    assert moved("dse.measurements.run") == runs
+    assert moved("dse.measurements.memoized") == memoized
+    assert runs + memoized == len(result.points)
+    for point in result.points:
+        options = point.config.apply(SynthesisOptions()).with_constraints(
+            point.constraints
+        )
+        full = synthesize(source, options=options)
+        cycles = measure_cycles(full, vectors)
+        assert (point.cycles, point.area, point.clock_ns) == (
+            cycles,
+            estimate_area(full).total,
+            estimate_timing(full, cycles).clock_ns,
+        ), point.config.label()
+
+
+#: Integer kernel with an ``if`` inside a constant-trip loop and an
+#: unbalanced add chain: unrolling, if-conversion and tree-height
+#: reduction all fire, alone and together.
+DIRECTIVE_KERNEL = """
+procedure kern(input a, b, c: int<16>; output y: int<16>);
+var acc: int<16>;
+    i: uint<4>;
+begin
+  acc := 0;
+  for i := 1 to 4 do
+  begin
+    if a > b then
+      acc := acc + a + b + c;
+    else
+      acc := acc - c;
+  end;
+  y := acc;
+end
+"""
+
+EXACTNESS_PROGRAMS = {
+    "sqrt": SQRT_SOURCE,
+    "diffeq": DIFFEQ_SOURCE,
+    "fir4": fir_source(4),
+    "fir8": fir_source(8),
+    "kernel": DIRECTIVE_KERNEL,
+    **{
+        f"examples/{path.name}": path.read_text()
+        for path in sorted((ROOT / "examples").glob("*.hls"))
+    },
+}
+
+#: The optimizer pass behind each switch of ``DirectiveConfig.transforms``.
+DIRECTIVE_PASSES = ("unroll", "tree-height", "if-convert")
+
+
+def _id_ranks(cdfg):
+    """Each op's rank in id order, listed in block/op order."""
+    ids = [op.id for block in cdfg.blocks() for op in block.ops]
+    rank = {op_id: index for index, op_id in enumerate(sorted(ids))}
+    return [rank[op_id] for op_id in ids]
+
+
+@pytest.mark.parametrize("name", sorted(EXACTNESS_PROGRAMS))
+def test_dropping_unfired_directives_is_exact(name):
+    """The property template sharing rests on: a combination's
+    template, handed to any combination that only drops directives
+    which never fired in its run, is the very graph that combination's
+    own compile and transforms stage makes — same structure, op ids in
+    the same relative order."""
+    source = EXACTNESS_PROGRAMS[name]
+    base = SynthesisOptions()
+    combinations = sorted({c.transforms for c in default_directive_space()})
+    handed_on = 0
+    for transforms in combinations:
+        template = compile_source(source)
+        report = optimize(template, **dict(zip(
+            ("unroll", "tree_height", "if_conversion"), transforms)))
+        needed = tuple(pass_name in report.applied
+                       for pass_name in DIRECTIVE_PASSES)
+        for other in combinations:
+            if not all(need <= wanted <= have for need, wanted, have
+                       in zip(needed, other, transforms)):
+                continue
+            handed_on += other != transforms
+            fresh = compile_source(source)
+            transform_cdfg(fresh, DirectiveConfig(*other).apply(base))
+            assert _cdfg_signature(template) == _cdfg_signature(fresh), \
+                (transforms, other)
+            assert _id_ranks(template) == _id_ranks(fresh), \
+                (transforms, other)
+    # Every directive fires in every combination of the kernel; the
+    # other programs hand templates on.
+    assert (handed_on == 0) == (name == "kernel")
+
+
 def test_schedule_memo_is_bound_to_its_cdfg():
     """Block ids are per CDFG, so a memo of another graph would hand
     out its problems and schedules: the engine refuses it."""
@@ -323,6 +495,23 @@ def test_cli_explore_directives(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "funnel:" in out
     assert "full evaluations" in out
+
+
+@pytest.mark.parametrize("margin", ["-1", "-0.5", "nan"])
+def test_cli_rejects_unsound_prune_margin(tmp_path, capsys, margin):
+    """Used to print an empty "32 cells -> 0 full evaluations" table
+    and exit 0."""
+    from repro.__main__ import main
+
+    path = tmp_path / "sqrt.bsl"
+    path.write_text(SQRT_SOURCE)
+    assert main([
+        "explore", str(path), "--directives", "--limits", "1,2",
+        "--prune-margin", margin,
+    ]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: prune margin must be 0 or more")
+    assert "funnel:" not in captured.out
 
 
 # ----------------------------------------------------------------------

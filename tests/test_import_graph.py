@@ -11,7 +11,10 @@ never times:
 * after that statement, a synthesis with Verilog emission, a directive
   sweep with a design store, and an incremental resynthesis import
   nothing more, so no import cost moves into a job;
-* every name in every package's ``__all__`` still resolves.
+* every name in every package's ``__all__`` still resolves;
+* every module under ``src/repro`` imports as the first ``repro``
+  import of an interpreter, so no import cycle depends on which
+  package happened to load first.
 """
 
 from __future__ import annotations
@@ -118,6 +121,27 @@ print(json.dumps({"packages": len(packages), "unresolved": unresolved}))
 """
 
 
+FIRST_IMPORTS = r"""
+import importlib, json, pathlib, sys
+
+src = pathlib.Path(SRC)
+names = []
+for path in sorted((src / "repro").rglob("*.py")):
+    parts = path.relative_to(src).with_suffix("").parts
+    names.append(".".join(parts[:-1] if parts[-1] == "__init__" else parts))
+failed = []
+for name in names:
+    for loaded in [key for key in sys.modules
+                   if key == "repro" or key.startswith("repro.")]:
+        del sys.modules[loaded]
+    try:
+        importlib.import_module(name)
+    except Exception as error:
+        failed.append(f"{name}: {type(error).__name__}: {error}")
+print(json.dumps({"modules": len(names), "failed": failed}))
+"""
+
+
 def _environment() -> dict[str, str]:
     env = {name: value for name, value in os.environ.items()
            if not name.startswith("REPRO_")}
@@ -160,3 +184,15 @@ def test_every_exported_name_resolves():
     result = json.loads(_run("-c", EXPORTS).stdout.splitlines()[-1])
     assert result["packages"] >= 18
     assert result["unresolved"] == []
+
+
+def test_every_module_imports_first():
+    """Each module is imported with no ``repro`` module loaded before
+    it.  ``import repro.transforms`` used to fail so: constant folding
+    reached the engine through ``repro.sim`` before the transforms
+    package had defined ``optimize``."""
+    prelude = f"SRC = {str(ROOT / 'src')!r}\n"
+    result = json.loads(
+        _run("-c", prelude + FIRST_IMPORTS).stdout.splitlines()[-1])
+    assert result["modules"] >= 100
+    assert result["failed"] == []
