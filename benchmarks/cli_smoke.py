@@ -33,6 +33,8 @@ def verbs(scratch: Path) -> list[tuple[int, list[str]]]:
         (0, ["simulate", SQRT, "X=0.5", "--fu", "2"]),
         (0, ["explore", SQRT, "--limits", "1,2,3", "--jobs", "2"]),
         (0, ["explore", SQRT, "--directives", "--limits", "1,2"]),
+        (0, ["explore", SQRT, "--directives", "--limits", "1,2,3",
+             "--jobs", "2"]),
         (2, ["explore", SQRT, "--directives", "--limits", "1,2",
              "--prune-margin", "-1"]),
         (0, ["verify", SQRT, "--fu", "2"]),

@@ -82,9 +82,11 @@ class Allocation:
         comparison.
 
         Ops and values are identified by the producing op's position in
-        the problem's op order, not by raw ids — ids are process-global
-        counters, and signatures must compare equal across processes
-        and across repeated compiles of the same source.
+        the problem's op order, not by raw ids.  Ids are numbered per
+        CDFG, so two compiles of one source agree on them, but
+        transforms, unrolling, cloning and source edits renumber them —
+        and signatures must compare equal across graphs that differ
+        only in numbering.
         """
         problem = self.schedule.problem
         op_index = {op.id: index for index, op in enumerate(problem.ops)}

@@ -11,8 +11,10 @@ Identity is structural, not positional: :func:`block_digest` hashes a
 block's operation list with every value reference rewritten to a
 process-independent coordinate (the producer's position within its
 block, or ``(block name, position)`` for cross-block references), so
-two compiles of the same text — in different processes, with different
-id counters — digest equal.  Blocks are matched *by name*: the
+a block digests equal whatever its ids.  Ids are numbered per CDFG,
+so two compiles of the same text agree on them, but an edit renumbers
+every op after it, as transforms, unrolling and cloning renumber the
+ops they touch.  Blocks are matched *by name*: the
 frontend numbers blocks in emission order per CDFG, so unchanged
 program prefixes keep their names across compiles.  A structural edit
 (added/removed control flow) shifts names, which conservatively lands

@@ -122,9 +122,11 @@ class FSM:
         transitions), for stage-level differential comparison.
 
         Condition values are identified by (producer block name, op
-        position in that block), not by raw value id — ids are
-        process-global counters, and signatures must compare equal
-        across processes and repeated compiles of the same source.
+        position in that block), not by raw value id.  Ids are
+        numbered per CDFG, so two compiles of one source agree on
+        them, but transforms, unrolling, cloning and source edits
+        renumber them — and signatures must compare equal across
+        graphs that differ only in numbering.
         """
 
         def cond_key(cond: Value | None):

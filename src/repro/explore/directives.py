@@ -32,8 +32,10 @@ ScaleHLS-style multi-level funnel instead:
    schedules instead of making them again; then the two-tier design
    cache, measurement memoization — one memo per template, so a
    design another config already made on it is simulated once — and,
-   with ``n_jobs > 1``, the fault-tolerant :mod:`repro.exec` fan-out
-   (workers schedule on their own templates and measure every point).
+   with ``n_jobs > 1``, the fault-tolerant :mod:`repro.exec` fan-out:
+   every finalist cell in one batch, each built by the same builder
+   in a worker, over that worker's own template (so without level 2's
+   schedules), measuring every point it builds.
 
 Pruning at levels 1–2 is *heuristic* (the area figure is not a bound,
 and estimates cannot see scheduler quality); ``prune_margin`` trades
@@ -44,7 +46,6 @@ identically.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field, replace
 from typing import Sequence
 
@@ -53,6 +54,7 @@ from ..core.engine import (
     ScheduleMemo,
     SynthesisOptions,
     schedule_block,
+    source_digest,
 )
 from ..errors import HLSError, SchedulingError
 from ..estimation import DEFAULT_RANKING_TRIPS, QoRModel
@@ -64,8 +66,7 @@ from ..ir.cdfg import (
     Region,
     SeqRegion,
 )
-from ..obs import histogram_deltas, metrics, trace_span
-from ..obs import ledger as run_ledger
+from ..obs import metrics, trace_span
 from ..scheduling import ResourceConstraints, UniversalFUModel
 from ..transforms import IfConversion, LoopUnrolling, TreeHeightReduction
 from .dse import (
@@ -74,6 +75,7 @@ from .dse import (
     _compile_template,
     _map_points,
     _PointBuilder,
+    _recorded_sweep,
 )
 
 #: Scheduler/allocator axes the default directive space sweeps.  Kept
@@ -161,6 +163,9 @@ class DirectivePoint(DesignPoint):
     def row(self) -> str:
         return f"{self.config.label():<32} {super().row()}"
 
+    def ledger_row(self) -> dict:
+        return {"config": self.config.label(), **super().ledger_row()}
+
 
 @dataclass
 class DirectiveExplorationResult(ExplorationResult):
@@ -172,6 +177,20 @@ class DirectiveExplorationResult(ExplorationResult):
     #: ``configs_pruned`` (their sum) and ``configs_evaluated`` (cells
     #: that ran the full pipeline).
     funnel: dict = field(default_factory=dict)
+
+    def ledger_extra(self) -> dict:
+        f = self.funnel
+        return {
+            "configs": f["configs"],
+            "exhaustive": f["exhaustive"],
+            "configs_pruned": f["configs_pruned"],
+            "configs_evaluated": f["configs_evaluated"],
+            "funnel": {
+                key: f[key]
+                for key in ("duplicates_pruned", "estimate_pruned",
+                            "schedule_pruned", "schedule_failed")
+            },
+        }
 
     def table(self) -> str:
         lines = [super().table()]
@@ -217,11 +236,15 @@ def _region_signature(region: Region, block_pos: dict[int, int]) -> tuple:
 def _cdfg_signature(cdfg: CDFG) -> tuple:
     """Position-based structural identity of an optimized CDFG.
 
-    Two CDFGs with equal signatures are the same graph up to the
-    process-global id counters, and the deterministic pipeline
-    synthesizes them identically — the funnel's exact dedup relies on
-    this.  Conservative by construction: every op kind, attribute,
-    type, operand wiring and the whole region tree participate.
+    Two CDFGs with equal signatures are the same graph up to op, value
+    and block ids, and the deterministic pipeline synthesizes them
+    identically — the funnel's exact dedup relies on this.  Ids are
+    numbered per CDFG, so two compiles of one source agree on them,
+    but transforms, unrolling and cloning renumber them: two directive
+    variants can make one graph under different ids, so positions
+    name ops here.  Conservative by construction: every op kind,
+    attribute, type, operand wiring and the whole region tree
+    participate.
     """
     blocks = list(cdfg.blocks())
     block_pos = {block.id: index for index, block in enumerate(blocks)}
@@ -307,8 +330,8 @@ def explore_directives(
             when another cell beats it by this relative margin on both
             axes.  0 prunes on any strict dominance; raise it to keep
             near-dominated cells in play (``inf`` never prunes).  A
-            negative or NaN margin raises :class:`HLSError`, as does
-            an empty ``configs``.
+            negative or NaN margin raises :class:`HLSError`, as do an
+            empty ``configs`` and an empty ``fu_limits``.
         ranking_trips: trip count the ranking latency assumes for
             unknown-trip loops.
 
@@ -328,6 +351,10 @@ def explore_directives(
     if not configs:
         raise HLSError("explore_directives needs at least one "
                        "directive configuration")
+    limits = list(fu_limits)
+    if not limits:
+        raise HLSError("explore_directives needs at least one unit "
+                       "limit")
     # Negated so that NaN is refused too: a negative or NaN margin
     # prunes cells that nothing dominates.  inf never prunes.
     if not prune_margin >= 0:
@@ -337,91 +364,19 @@ def explore_directives(
     for config in configs:
         if config.scheduler not in SCHEDULERS:
             raise HLSError(f"unknown scheduler {config.scheduler!r}")
-    limits = list(fu_limits)
-    exhaustive = len(configs) * len(limits)
     model = base.model or UniversalFUModel()
 
     result = DirectiveExplorationResult()
-    ledger = (None if run_ledger.in_ledger_scope()
-              else run_ledger.active_ledger())
-    before = (metrics().snapshot()
-              if report or ledger is not None else None)
-    started = time.perf_counter()
-
-    with run_ledger.ledger_scope():
+    with _recorded_sweep("explore-directives", result, report,
+                         source_digest(source), base, resource_class,
+                         limits):
         with trace_span("dse.directives", configs=len(configs),
                         limits=len(limits)):
-            funnel = _run_funnel(
+            result.funnel = _run_funnel(
                 source, limits, configs, resource_class, base, vectors,
                 n_jobs, use_cache, task_timeout_s, prune_margin,
                 ranking_trips, model, result,
             )
-    wall_s = time.perf_counter() - started
-
-    funnel["exhaustive"] = exhaustive
-    funnel["configs_pruned"] = (
-        funnel["duplicates_pruned"] + funnel["estimate_pruned"]
-        + funnel["schedule_pruned"] + funnel["schedule_failed"]
-    )
-    result.funnel = funnel
-    metrics().counter("dse.configs.pruned").inc(funnel["configs_pruned"])
-    metrics().counter("dse.configs.evaluated").inc(
-        funnel["configs_evaluated"]
-    )
-
-    if report:
-        after = metrics().snapshot()
-        deltas = {
-            key: value - before["counters"].get(key, 0)
-            for key, value in after["counters"].items()
-            if value - before["counters"].get(key, 0) != 0
-        }
-        result.telemetry = {
-            "wall_s": wall_s,
-            "counters": deltas,
-            "histograms": {
-                key: hist.summary()
-                for key, hist in histogram_deltas(before, after).items()
-            },
-        }
-    if ledger is not None and result.points:
-        best = min(result.points, key=lambda p: (p.latency_ns, p.area))
-        from ..core.engine import source_digest
-
-        record = run_ledger.build_record(
-            "explore-directives", best.design.cdfg.name,
-            design=best.design,
-            source_digest=source_digest(source),
-            options=base,
-            metrics_before=before,
-            wall_s=wall_s,
-            extra={
-                "resource_class": resource_class,
-                "limits": list(limits),
-                "configs": len(configs),
-                "exhaustive": exhaustive,
-                "configs_pruned": funnel["configs_pruned"],
-                "configs_evaluated": funnel["configs_evaluated"],
-                "funnel": {
-                    key: funnel[key]
-                    for key in ("duplicates_pruned", "estimate_pruned",
-                                "schedule_pruned", "schedule_failed")
-                },
-                "pareto": len(result.pareto),
-                "failures": len(result.failures),
-                "points": [
-                    {
-                        "config": p.config.label(),
-                        "constraints": str(p.constraints),
-                        "area": round(p.area, 3),
-                        "cycles": p.cycles,
-                        "clock_ns": round(p.clock_ns, 3),
-                    }
-                    for p in result.points
-                ],
-            },
-        )
-        ledger.append(record)
     return result
 
 
@@ -535,40 +490,37 @@ def _run_funnel(source, limits, configs, resource_class, base, vectors,
             continue
         kept.append((config, transforms, limit))
 
-    # ---- Level 3: full synthesize+measure per surviving cell, per
-    # config, through the regular point-builder machinery (two-tier
-    # cache, measurement memoization, repro.exec fan-out).
-    evaluated = 0
-    by_config: dict[DirectiveConfig, tuple[tuple, list]] = {}
-    for config, transforms, limit in kept:
-        by_config.setdefault(config, (transforms, []))[1].append(limit)
+    # ---- Level 3: full synthesize+measure of every kept cell, in one
+    # batch, through the regular point-builder machinery (two-tier
+    # cache, measurement memoization, repro.exec fan-out).  Kept cells
+    # come grouped by config, one builder per config.
+    builders: dict[DirectiveConfig, _PointBuilder] = {}
     measurements: dict[tuple, dict] = {}
-    for config, (transforms, config_limits) in by_config.items():
-        # Every config riding on a template shares its CDFG, schedule
-        # memo and measurement memo: a design another config already
-        # made on it (same schedules and allocations) is measured once.
-        cfg_builder = _PointBuilder(
-            source, resource_class, config.apply(base),
-            shared_vectors, use_cache,
-            template=templates[transforms],
-            measurements=measurements.setdefault(transforms, {}),
-        )
-        points, failures = _map_points(
-            cfg_builder, config_limits, n_jobs, task_timeout_s
-        )
-        evaluated += len(config_limits)
-        result.points.extend(
-            DirectivePoint(
-                constraints=point.constraints,
-                design=point.design,
-                area=point.area,
-                cycles=point.cycles,
-                clock_ns=point.clock_ns,
-                config=config,
+    for config, transforms, _ in kept:
+        if config not in builders:
+            # Every config riding on a template shares its CDFG,
+            # schedule memo and measurement memo: a design another
+            # config already made on it (same schedules and
+            # allocations) is measured once.
+            builders[config] = _PointBuilder(
+                source, resource_class, config.apply(base),
+                shared_vectors, use_cache,
+                template=templates[transforms],
+                measurements=measurements.setdefault(transforms, {}),
             )
-            for point in points
-        )
-        result.failures.extend(failures)
+    points, failures = _map_points(
+        [(builders[config], limit) for config, _, limit in kept],
+        n_jobs, task_timeout_s,
+    )
+    result.points.extend(
+        DirectivePoint(**vars(point), config=config)
+        for (config, _, _), point in zip(kept, points)
+        if point is not None
+    )
+    result.failures.extend(failures)
+    pruned = duplicates + estimate_pruned + schedule_pruned + schedule_failed
+    metrics().counter("dse.configs.pruned").inc(pruned)
+    metrics().counter("dse.configs.evaluated").inc(len(kept))
     return {
         "configs": len(configs),
         "limits": len(limits),
@@ -576,7 +528,9 @@ def _run_funnel(source, limits, configs, resource_class, base, vectors,
         "estimate_pruned": estimate_pruned,
         "schedule_pruned": schedule_pruned,
         "schedule_failed": schedule_failed,
-        "configs_evaluated": evaluated,
+        "configs_evaluated": len(kept),
+        "exhaustive": len(configs) * len(limits),
+        "configs_pruned": pruned,
     }
 
 

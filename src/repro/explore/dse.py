@@ -20,7 +20,7 @@ Exploration is built for "a reasonable amount of time":
   :class:`~repro.core.engine.ScheduleMemo`, so per-block scheduling
   structure is built once across resource budgets and a schedule
   already made for a point's knobs is not made again — parallel
-  workers compile one template per process
+  workers run the same builder over one template per process
   (:mod:`repro.explore.parallel`);
 * synthesized designs are memoized in the two-tier design cache
   (:func:`~repro.core.engine.lookup_design`: the process-global LRU,
@@ -38,8 +38,9 @@ from __future__ import annotations
 
 import math
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 from ..core.design import SynthesizedDesign
 from ..core.engine import (
@@ -51,6 +52,7 @@ from ..core.engine import (
     synthesize_cdfg,
     transform_cdfg,
 )
+from ..errors import HLSError
 from ..estimation import estimate_area, estimate_timing
 from ..ir.cdfg import CDFG
 from ..lang import compile_source
@@ -82,6 +84,15 @@ class DesignPoint:
             f"latency={self.latency_ns:9.1f}ns"
         )
 
+    def ledger_row(self) -> dict:
+        """This point's entry in a sweep's ledger record."""
+        return {
+            "constraints": str(self.constraints),
+            "area": round(self.area, 3),
+            "cycles": self.cycles,
+            "clock_ns": round(self.clock_ns, 3),
+        }
+
 
 @dataclass
 class ExplorationResult:
@@ -101,6 +112,10 @@ class ExplorationResult:
     def ok(self) -> bool:
         """Did every requested point produce a design?"""
         return not self.failures
+
+    def ledger_extra(self) -> dict:
+        """What this kind of sweep adds to its ledger record."""
+        return {}
 
     @property
     def pareto(self) -> list[DesignPoint]:
@@ -334,13 +349,16 @@ class _PointBuilder:
         return measured
 
 
-def _map_points(builder: _PointBuilder, limits: Sequence[int],
+def _map_points(cells: Sequence[tuple[_PointBuilder, int]],
                 n_jobs: int | None,
                 task_timeout_s: float | None = None,
-                ) -> tuple[list[DesignPoint], list]:
-    """Build a point per limit, in order — fanning out when asked.
+                ) -> tuple[list[DesignPoint | None], list]:
+    """Build a point per ``(builder, limit)`` cell, in order — in one
+    parallel batch when asked.
 
-    Returns ``(points, failures)``; the serial path raises on error
+    Returns ``(points, failures)``: ``points[i]`` is the point of
+    ``cells[i]``, or None when that cell failed in the parallel runtime
+    and its record is in ``failures``.  The serial path raises on error
     (nothing to salvage) and therefore never reports failures.
     """
     if n_jobs is not None and n_jobs > 1:
@@ -348,8 +366,66 @@ def _map_points(builder: _PointBuilder, limits: Sequence[int],
 
         explorer = ParallelExplorer(max_workers=n_jobs,
                                     timeout_s=task_timeout_s)
-        return explorer.build_points(builder, limits)
-    return [builder.build(limit) for limit in limits], []
+        return explorer.build_points(cells)
+    return [builder.build(limit) for builder, limit in cells], []
+
+
+@contextmanager
+def _recorded_sweep(kind: str, result: ExplorationResult, report: bool,
+                    digest: str | None, options: SynthesisOptions,
+                    resource_class: str,
+                    limits: list[int]) -> Iterator[None]:
+    """Run a sweep's body as one exploration, then file its telemetry
+    and ledger record.
+
+    The body runs in a ledger scope, which claims the ledger record:
+    the many syntheses inside are one exploration, not N runs.  With
+    ``report``, ``result.telemetry`` gets the wall time and the counter
+    and histogram deltas of the body.  With an active ledger, one
+    ``kind`` record carries the QoR of the best-latency point, the
+    trade-off curve and :meth:`ExplorationResult.ledger_extra`.
+    """
+    ledger = (None if run_ledger.in_ledger_scope()
+              else run_ledger.active_ledger())
+    before = (metrics().snapshot()
+              if report or ledger is not None else None)
+    started = time.perf_counter()
+    with run_ledger.ledger_scope():
+        yield
+    wall_s = time.perf_counter() - started
+    if report:
+        after = metrics().snapshot()
+        deltas = {
+            key: value - before["counters"].get(key, 0)
+            for key, value in after["counters"].items()
+            if value - before["counters"].get(key, 0) != 0
+        }
+        result.telemetry = {
+            "wall_s": wall_s,
+            "counters": deltas,
+            "histograms": {
+                key: hist.summary()
+                for key, hist in histogram_deltas(before, after).items()
+            },
+        }
+    if ledger is not None and result.points:
+        best = min(result.points, key=lambda p: (p.latency_ns, p.area))
+        ledger.append(run_ledger.build_record(
+            kind, best.design.cdfg.name,
+            design=best.design,
+            source_digest=digest,
+            options=options,
+            metrics_before=before,
+            wall_s=wall_s,
+            extra={
+                "resource_class": resource_class,
+                "limits": limits,
+                **result.ledger_extra(),
+                "pareto": len(result.pareto),
+                "failures": len(result.failures),
+                "points": [p.ledger_row() for p in result.points],
+            },
+        ))
 
 
 def search_for_latency(
@@ -396,8 +472,10 @@ def search_for_latency(
             low + ((i + 1) * (high - low)) // (count + 1)
             for i in range(count)
         })
-        points, failures = _map_points(builder, probes, n_jobs,
-                                       task_timeout_s)
+        points, failures = _map_points(
+            [(builder, probe) for probe in probes], n_jobs,
+            task_timeout_s,
+        )
         if failures:
             from ..errors import TaskExecutionError
 
@@ -454,69 +532,24 @@ def explore_fu_range(
             none).  A point that exceeds it is rebuilt serially; if
             that fails too it lands in ``result.failures`` instead of
             sinking the sweep.
+
+    An empty ``fu_limits`` raises :class:`HLSError`.
     """
+    limits = list(fu_limits)
+    if not limits:
+        raise HLSError("explore_fu_range needs at least one unit limit")
     builder = _PointBuilder(
         source_or_factory, resource_class, options, vectors, use_cache
     )
-    limits = list(fu_limits)
     result = ExplorationResult()
-    ledger = (None if run_ledger.in_ledger_scope()
-              else run_ledger.active_ledger())
-    before = (metrics().snapshot()
-              if report or ledger is not None else None)
-    started = time.perf_counter()
-    with run_ledger.ledger_scope():
-        # The scope claims the ledger record for this sweep: the many
-        # syntheses inside are one exploration, not N runs.
+    with _recorded_sweep("explore", result, report, builder._digest,
+                         builder.base, resource_class, limits):
         with trace_span("dse.sweep", resource=resource_class,
                         points=len(limits)):
-            points, failures = _map_points(builder, limits, n_jobs,
-                                           task_timeout_s)
-            result.points.extend(points)
+            points, failures = _map_points(
+                [(builder, limit) for limit in limits], n_jobs,
+                task_timeout_s,
+            )
+            result.points.extend(p for p in points if p is not None)
             result.failures.extend(failures)
-    wall_s = time.perf_counter() - started
-    if report:
-        after = metrics().snapshot()
-        deltas = {
-            key: value - before["counters"].get(key, 0)
-            for key, value in after["counters"].items()
-            if value - before["counters"].get(key, 0) != 0
-        }
-        result.telemetry = {
-            "wall_s": wall_s,
-            "counters": deltas,
-            "histograms": {
-                key: hist.summary()
-                for key, hist in histogram_deltas(before, after).items()
-            },
-        }
-    if ledger is not None and result.points:
-        # QoR of the sweep's best-latency point, plus the trade-off
-        # curve itself — one "explore" record per invocation.
-        best = min(result.points,
-                   key=lambda p: (p.latency_ns, p.area))
-        record = run_ledger.build_record(
-            "explore", best.design.cdfg.name,
-            design=best.design,
-            source_digest=builder._digest,
-            options=builder.base,
-            metrics_before=before,
-            wall_s=wall_s,
-            extra={
-                "resource_class": resource_class,
-                "limits": limits,
-                "pareto": len(result.pareto),
-                "failures": len(result.failures),
-                "points": [
-                    {
-                        "constraints": str(p.constraints),
-                        "area": round(p.area, 3),
-                        "cycles": p.cycles,
-                        "clock_ns": round(p.clock_ns, 3),
-                    }
-                    for p in result.points
-                ],
-            },
-        )
-        ledger.append(record)
     return result

@@ -2,14 +2,18 @@
 
 §1.2's promise — "produce several designs for the same specification
 in a reasonable amount of time" — is embarrassingly parallel across
-resource limits: each design point is an independent synthesis run.
-:class:`ParallelExplorer` distributes points over a process pool via
-the fault-tolerant :mod:`repro.exec` runtime; each worker compiles and
-transforms a behavioral source at most once (a per-process template
-memo keyed by source digest plus every graph-shaping option knob) and
-synthesizes every point against that shared CDFG, mirroring the serial
-compile-once path, so the resulting points are identical to a serial
-sweep.
+design points: each ``(builder, limit)`` cell is an independent
+synthesis run.  :class:`ParallelExplorer` distributes the cells of a
+sweep over one process pool via the fault-tolerant :mod:`repro.exec`
+runtime.  A worker task rebuilds the cell's
+:class:`~repro.explore.dse._PointBuilder` from the parent builder's
+arguments and calls its ``build`` — the code the serial path runs — so
+a worker synthesizes, caches and measures a point by the same rules
+as the parent.  The rebuilt builder gets the worker's template for its
+source and template-shaping options (a per-process memo of the
+template's :class:`~repro.core.engine.ScheduleMemo`, compiled and
+transformed at most once per worker), and the worker shares the
+parent's design store.
 
 The pool is an optimization, never a correctness hazard.  Failure
 semantics (see ``docs/resilience.md``):
@@ -31,34 +35,31 @@ from __future__ import annotations
 
 import os
 import pickle
-from dataclasses import replace
 from typing import Sequence
 
-from ..core.engine import synthesize_cdfg, transform_cdfg
-from ..estimation import estimate_area, estimate_timing
+from ..core.engine import ScheduleMemo, source_digest
 from ..exec import TaskFailure, default_timeout_s, run_tasks
-from ..ir.cdfg import CDFG
-from ..lang import compile_source
 from ..obs import (
     metrics,
     reset_metrics,
-    trace_span,
     tracer,
     tracing,
     tracing_enabled,
 )
 from ..scheduling import ResourceConstraints
-from ..store import DesignStore, active_store, store_key
-from .dse import DesignPoint, _PointBuilder, measure_cycles
+from ..store import active_store, configure_store
+from .dse import DesignPoint, _PointBuilder
 
-#: Per-worker-process compiled templates, keyed by source digest plus
-#: every option knob that shapes the optimized graph — directive DSE
-#: runs points with *different* transform directives over one source,
-#: and each variant needs its own template.
-_WORKER_TEMPLATES: dict[tuple, CDFG] = {}
+#: Per-worker-process templates, keyed by source digest plus every
+#: option knob that shapes the optimized graph — directive DSE runs
+#: points with *different* transform directives over one source, and
+#: each variant needs its own template — plus the resource model, to
+#: which the template's schedule memo is bound.
+_WORKER_TEMPLATES: dict[tuple, ScheduleMemo] = {}
 
 
 def _template_key(digest: str, options) -> tuple:
+    model = options.model
     return (
         digest,
         options.optimize_ir,
@@ -67,96 +68,44 @@ def _template_key(digest: str, options) -> tuple:
         options.if_conversion,
         options.narrow,
         options.assume_ranges,
+        # A model without a cache token is keyed by identity: each
+        # task unpickles its own copy, so such templates are not shared.
+        None if model is None else (model.cache_token() or model),
     )
 
 
 def _build_point_task(payload: dict) -> tuple[DesignPoint, list, dict]:
-    """Worker-side build of one design point (module-level: must be
-    importable by pickle in the worker process).
+    """Worker-side build of one cell (module-level: must be importable
+    by pickle in the worker process).
+
+    Points the worker at the parent's store directory (``None``
+    disables it, with no fallback to the environment), rebuilds the
+    parent's builder around this worker's template and runs its
+    ``build``.  The builder is fresh per task, and so is its
+    measurement memo: every point a worker builds is measured.
 
     Returns ``(point, spans, metrics_snapshot)``: worker processes are
     reused across points, so each task resets its process-local
     tracer/registry first and ships exactly its own telemetry home —
-    the parent merges spans under its open ``dse.sweep`` span and
-    folds the counters into its registry, keeping parallel counter
-    totals equal to a serial sweep's.  A task that dies or times out
-    ships nothing, so partial attempts never pollute the merged
-    totals.
+    the parent merges spans under its open sweep span and folds the
+    counters into its registry.  A task that dies or times out ships
+    nothing, so partial attempts never pollute the merged totals.
     """
     reset_metrics()
     tracer().clear()
-    with tracing(payload.get("trace", False) or tracing_enabled()):
-        with trace_span("dse.point",
-                        resource=payload["resource_class"],
-                        limit=payload["limit"]):
-            metrics().counter("dse.points.evaluated").inc()
-            point = _build_point(payload)
+    configure_store(payload["store_dir"])
+    source, resource_class, options, vectors, use_cache = payload["builder"]
+    key = (_template_key(source_digest(source), options)
+           if isinstance(source, str) else None)
+    builder = _PointBuilder(source, resource_class, options, vectors,
+                            use_cache, template=_WORKER_TEMPLATES.get(key))
+    with tracing(payload["trace"] or tracing_enabled()):
+        point = builder.build(payload["limit"])
+    if builder._template is not None:
+        # Compiled on this worker's first miss of a string source,
+        # unless a cache tier served the point.
+        _WORKER_TEMPLATES[key] = builder._template
     return point, tracer().records(), metrics().snapshot()
-
-
-def _worker_store(store_dir: str | None) -> DesignStore | None:
-    """The store this worker should consult.
-
-    The parent resolves its active store once and ships the directory
-    in every payload — so programmatic configuration crosses the
-    process boundary, and a parent that disabled caching disables it
-    for its workers too (no env fallback here)."""
-    if store_dir:
-        return DesignStore(store_dir)
-    return None
-
-
-def _build_point(payload: dict) -> DesignPoint:
-    source = payload["source"]
-    options = payload["options"].with_constraints(
-        {payload["resource_class"]: payload["limit"]}
-    )
-    design = None
-    store = None
-    key = None
-    if source is not None:
-        store = _worker_store(payload.get("store_dir"))
-        if store is not None:
-            # Same key the parent's serial path derives: constraints
-            # applied, the optimize_ir knob still as requested.
-            key = store_key(payload["digest"], None, options)
-        if key is not None:
-            design = store.get(key)
-    if design is None:
-        if source is not None:
-            template_key = _template_key(payload["digest"], options)
-            template = _WORKER_TEMPLATES.get(template_key)
-            if template is None:
-                template = compile_source(source)
-                transform_cdfg(template, options)
-                _WORKER_TEMPLATES[template_key] = template
-            # The memoized template is already transformed.  Synthesize
-            # it directly, exactly like the serial compile-once path:
-            # the pipeline only reads the CDFG after the transforms
-            # stage, and a clone would renumber op ids —
-            # scheduler tie-breaking follows id order, so a cloned
-            # graph can legally schedule differently and break the
-            # points-identical-to-serial contract (tree-height graphs
-            # trip this in practice).
-            cdfg = template
-            run_options = replace(options, optimize_ir=False,
-                                  narrow=False)
-        else:
-            cdfg = payload["factory"]()
-            run_options = options
-        design = synthesize_cdfg(cdfg, run_options)
-        if key is not None:
-            store.put(key, design, fault_spec=options.fault_spec)
-    metrics().counter("dse.measurements.run").inc()
-    cycles = measure_cycles(design, payload["vectors"])
-    timing = estimate_timing(design, cycles)
-    return DesignPoint(
-        constraints=options.constraints,
-        design=design,
-        area=estimate_area(design).total,
-        cycles=cycles,
-        clock_ns=timing.clock_ns,
-    )
 
 
 class ParallelExplorer:
@@ -171,15 +120,10 @@ class ParallelExplorer:
         timeout_s: per-point wall-clock budget once a point starts on
             a worker.  Defaults to env ``REPRO_TASK_TIMEOUT_S`` when
             set, else no timeout.
-        max_retries: pool resubmissions per point for retryable
-            faults (worker crash, pool breakage, unpicklable result).
-        backoff_s: base of the exponential retry backoff.
     """
 
     def __init__(self, max_workers: int | None = None, *,
-                 timeout_s: float | None = None,
-                 max_retries: int = 2,
-                 backoff_s: float = 0.05) -> None:
+                 timeout_s: float | None = None) -> None:
         if max_workers is None:
             max_workers = os.cpu_count() or 1
         elif max_workers < 1:
@@ -191,94 +135,83 @@ class ParallelExplorer:
         self.timeout_s = (
             timeout_s if timeout_s is not None else default_timeout_s()
         )
-        self.max_retries = max_retries
-        self.backoff_s = backoff_s
 
     def build_points(
-        self, builder: _PointBuilder, limits: Sequence[int],
-    ) -> tuple[list[DesignPoint], list[TaskFailure]]:
-        """Measured :class:`DesignPoint`\\ s per limit, in input order.
+        self, cells: Sequence[tuple[_PointBuilder, int]],
+    ) -> tuple[list[DesignPoint | None], list[TaskFailure]]:
+        """One measured :class:`DesignPoint` per ``(builder, limit)``
+        cell, in input order, all in one batch.
 
-        Returns ``(points, failures)``.  Completed points are
-        identical to ``[builder.build(l) for l in limits]``; a limit
-        appears in ``failures`` (and not in ``points``) only when its
-        pool attempts were exhausted *and* the parent-side serial
-        rebuild failed — or when the task raised a genuine synthesis
-        error, which is reported once with its original traceback
-        rather than run a second time.
+        Returns ``(points, failures)``.  ``points[i]`` belongs to
+        ``cells[i]`` and equals ``builder.build(limit)``; it is None
+        only when that cell failed, and then its record is in
+        ``failures`` — when its pool attempts were exhausted *and* the
+        parent-side serial rebuild failed, or when the task raised a
+        genuine synthesis error, which is reported once with its
+        original traceback rather than run a second time.
         """
-        limits = list(limits)
-        if not limits or self.max_workers <= 1 or len(limits) == 1:
-            return [builder.build(limit) for limit in limits], []
+        cells = list(cells)
+        if self.max_workers <= 1 or len(cells) <= 1:
+            return [builder.build(limit) for builder, limit in cells], []
         # A malformed budget is the caller's error, not a failed point:
         # raise it here, as the serial path does, before any worker runs.
-        for limit in limits:
+        for builder, limit in cells:
             ResourceConstraints({builder.resource_class: limit})
 
-        source_or_factory = builder.source_or_factory
-        is_source = isinstance(source_or_factory, str)
-        # Materialize the sweep vectors in the parent (assume contract
-        # applied) so every worker measures the same inputs the serial
-        # path would.
-        builder.ensure_vectors()
-        store = active_store() if builder.use_cache else None
-        payloads = [
-            {
-                "source": source_or_factory if is_source else None,
-                "factory": None if is_source else source_or_factory,
-                "digest": builder._digest,
-                "options": builder.base,
-                "resource_class": builder.resource_class,
+        payloads = []
+        for builder, limit in cells:
+            # Materialize the sweep vectors in the parent (assume
+            # contract applied) so every worker measures the same
+            # inputs the serial path would.
+            builder.ensure_vectors()
+            store = active_store() if builder.use_cache else None
+            payloads.append({
+                "builder": (builder.source_or_factory,
+                            builder.resource_class, builder.base,
+                            builder.vectors, builder.use_cache),
                 "limit": limit,
-                "vectors": builder.vectors,
                 "trace": tracing_enabled() or builder.base.trace,
-                "store_dir": (
-                    str(store.root) if store is not None else None
-                ),
-            }
-            for limit in limits
-        ]
+                "store_dir": None if store is None else str(store.root),
+            })
         try:
-            pickle.dumps(payloads[0])
+            pickle.dumps(payloads)
         except Exception:
             # Unpicklable work item (e.g. a closure factory): the pool
             # can never run it — degrade to the serial path up front.
-            metrics().counter("exec.tasks.degraded").inc(len(limits))
-            return [builder.build(limit) for limit in limits], []
+            metrics().counter("exec.tasks.degraded").inc(len(cells))
+            return [builder.build(limit) for builder, limit in cells], []
 
         batch = run_tasks(
             _build_point_task,
             payloads,
-            labels=[str(limit) for limit in limits],
-            max_workers=min(self.max_workers, len(limits)),
+            labels=[str(limit) for _, limit in cells],
+            max_workers=min(self.max_workers, len(cells)),
             timeout_s=self.timeout_s,
-            max_retries=self.max_retries,
-            backoff_s=self.backoff_s,
             # Quarantined points (crash/timeout/unpicklable) are
             # rebuilt serially in the parent — only them, never the
             # points that already completed.
-            fallback=lambda payload, index: builder.build(
-                limits[index]
+            fallback=lambda payload, index: cells[index][0].build(
+                cells[index][1]
             ),
-            fault_spec=builder.base.fault_spec,
+            fault_spec=cells[0][0].base.fault_spec,
         )
 
-        points: list[DesignPoint] = []
+        points: list[DesignPoint | None] = []
         failures: list[TaskFailure] = []
         for outcome in batch.outcomes:
             if outcome.failure is not None:
                 failures.append(outcome.failure)
-                continue
-            if outcome.degraded:
+                points.append(None)
+            elif outcome.degraded:
                 # Built by builder.build in this process: telemetry
                 # already landed in the parent registry/tracer.
                 points.append(outcome.value)
-                continue
-            point, spans, snapshot = outcome.value
-            # Worker telemetry lands in the parent in input order, so
-            # the merged registry and trace are deterministic.
-            metrics().merge(snapshot)
-            if spans and tracing_enabled():
-                tracer().merge(spans, parent=tracer().current_index())
-            points.append(point)
+            else:
+                point, spans, snapshot = outcome.value
+                # Worker telemetry lands in the parent in input order,
+                # so the merged registry and trace are deterministic.
+                metrics().merge(snapshot)
+                if spans and tracing_enabled():
+                    tracer().merge(spans, parent=tracer().current_index())
+                points.append(point)
         return points, failures

@@ -631,10 +631,11 @@ class Schedule:
         for caching and for stage-level differential comparison.
 
         Ops are identified by their *position* in the problem's op
-        order, not their raw id — value/op ids are process-global
-        counters, and signatures must compare equal across processes
-        (serial vs parallel exploration) and across repeated compiles
-        of the same source.
+        order, not their raw id.  Ids are numbered per CDFG, so two
+        compiles of one source agree on them, but transforms,
+        unrolling, cloning and source edits renumber them — and
+        signatures must compare equal across graphs that differ only
+        in numbering.
         """
         return tuple(
             (index, self.start[op.id])

@@ -236,6 +236,33 @@ class TestDirectiveFunnel:
         with pytest.raises(HLSError, match="at least one"):
             explore_directives(SQRT_SOURCE, [1], configs=[])
 
+    def test_rejects_empty_limit_lists(self):
+        """An empty sweep is an input error, refused before anything
+        is compiled, as an empty config list is."""
+        with tracing():
+            with pytest.raises(HLSError, match="at least one"):
+                explore_directives(SQRT_SOURCE, [])
+            with pytest.raises(HLSError, match="at least one"):
+                explore_fu_range(SQRT_SOURCE, [])
+        assert tracer().records() == []
+
+    def test_parallel_sweep_runs_one_batch(self):
+        """Level 3 submits every kept cell, of every config, in one
+        batch.  Each worker compiles a transform combination at most
+        once, so diffeq's two combinations run CSE at most twice in
+        the parent and twice per worker."""
+        with tracing():
+            result = explore_directives(DIFFEQ_SOURCE, [1, 2, 3],
+                                        n_jobs=2, use_cache=False)
+        batches = [r for r in tracer().records()
+                   if r.name == "exec.batch"]
+        assert len(batches) == 1
+        counters = metrics().counters()
+        assert (counters["exec.tasks.submitted"]
+                == result.funnel["configs_evaluated"])
+        assert counters["transforms.applied{transform=cse}"] <= 6
+        assert not result.failures
+
     def test_infinite_prune_margin_never_prunes(self):
         result = explore_directives(SQRT_SOURCE, [1, 2],
                                     prune_margin=float("inf"),

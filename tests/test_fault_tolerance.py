@@ -130,7 +130,7 @@ class TestExploreFaultTolerance:
     def test_single_limit_short_circuits_the_pool(self):
         builder = _PointBuilder(SQRT_SOURCE, "fu", None, None)
         explorer = ParallelExplorer(max_workers=4)
-        points, failures = explorer.build_points(builder, [2])
+        points, failures = explorer.build_points([(builder, 2)])
         assert len(points) == 1
         assert failures == []
         assert counters().get("exec.tasks.submitted", 0) == 0

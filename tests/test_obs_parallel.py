@@ -18,9 +18,9 @@ LIMITS = [1, 2, 3]
 
 #: Counters incremented once per design point (or per stage run inside
 #: one).  Only these are worker-location independent: compile/optimize
-#: run once per *worker process* rather than once per sweep, and the
-#: synthesis cache is parent-only, so their counters legitimately
-#: differ between serial and parallel runs.
+#: run once per *worker process* rather than once per sweep, and each
+#: worker looks designs up in its own synthesis cache, so their
+#: counters legitimately differ between serial and parallel runs.
 PER_POINT_COUNTERS = (
     "dse.points.evaluated",
     "scheduler.invocations{scheduler=list}",

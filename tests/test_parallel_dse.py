@@ -9,14 +9,18 @@ match the serial sweep exactly, in the same order.
 
 import pytest
 
-from repro.core import clear_synthesis_cache
+from repro import obs
+from repro.core import SynthesisOptions, clear_synthesis_cache
 from repro.explore import (
     ParallelExplorer,
     explore_fu_range,
+    parallel,
     search_for_latency,
 )
 from repro.explore.dse import _PointBuilder
 from repro.lang import compile_source
+from repro.scheduling import UniversalFUModel
+from repro.store import configure_store
 from repro.workloads.diffeq import DIFFEQ_SOURCE
 from repro.workloads.sqrt import SQRT_SOURCE
 
@@ -47,6 +51,51 @@ def test_sweep_matches_serial(source, n_jobs):
     jobbed = explore_fu_range(source, LIMITS, n_jobs=n_jobs)
     assert rows(jobbed.points) == rows(serial.points)
     assert rows(jobbed.pareto) == rows(serial.pareto)
+
+
+def test_parallel_sweeps_share_the_parent_store(tmp_path):
+    """Workers look designs up and record them through the same two
+    tiers as the serial builder, in the parent's store directory: a
+    cold sweep persists one entry per point, and once the memory tier
+    is dropped a second sweep loads every point from disk."""
+    limits = [1, 2, 3, 4]
+    serial = explore_fu_range(SQRT_SOURCE, limits, use_cache=False)
+    configure_store(tmp_path)
+    obs.reset_metrics()
+    cold = explore_fu_range(SQRT_SOURCE, limits, n_jobs=2)
+    got = obs.metrics().counters()
+    assert got["store.misses"] == got["store.persists"] == len(limits)
+    clear_synthesis_cache()
+    obs.reset_metrics()
+    warm = explore_fu_range(SQRT_SOURCE, limits, n_jobs=2)
+    got = obs.metrics().counters()
+    assert got["store.hits"] == len(limits)
+    assert got.get("store.persists", 0) == 0
+    assert rows(cold.points) == rows(serial.points)
+    assert rows(warm.points) == rows(serial.points)
+
+
+def test_worker_templates_are_bound_to_their_model(monkeypatch):
+    """A worker task reuses an earlier task's template, and with it the
+    schedule problems in its memo, only under the same resource model:
+    sqrt at one FU takes a cycle more when bare moves cost a step than
+    when they are free."""
+    monkeypatch.setattr(parallel, "_WORKER_TEMPLATES", {})
+    cycles = []
+    for count_bare_moves in (True, False):
+        options = SynthesisOptions(
+            model=UniversalFUModel(count_bare_moves=count_bare_moves))
+        builder = _PointBuilder(SQRT_SOURCE, "fu", options, None,
+                                use_cache=False)
+        builder.ensure_vectors()
+        point, _, _ = parallel._build_point_task({
+            "builder": (SQRT_SOURCE, "fu", options, builder.vectors,
+                        False),
+            "limit": 1, "trace": False, "store_dir": None,
+        })
+        assert rows([point]) == rows([builder.build(1)])
+        cycles.append(point.cycles)
+    assert cycles[0] > cycles[1]
 
 
 def test_long_chain_sweep_matches_serial():
@@ -90,7 +139,8 @@ def test_factory_source_falls_back_to_serial():
 def test_single_worker_explorer_never_spawns():
     builder = _PointBuilder(SQRT_SOURCE, "fu", None, None)
     explorer = ParallelExplorer(max_workers=1)
-    points, failures = explorer.build_points(builder, LIMITS)
+    points, failures = explorer.build_points(
+        [(builder, limit) for limit in LIMITS])
     assert failures == []
     assert rows(points) == rows(explore_fu_range(SQRT_SOURCE,
                                                  LIMITS).points)
