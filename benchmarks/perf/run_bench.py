@@ -376,16 +376,17 @@ def _ledger_records(report: dict) -> None:
 def run_benchmarks(budget: str = "full") -> dict:
     """Run every section at ``budget``; returns the report dict.
 
-    Runs inside a :func:`repro.obs.ledger.ledger_scope` so the
-    syntheses below never auto-record; when a ledger is active the
-    harness appends one ``bench`` record per benchmark row instead.
+    Runs as one :func:`repro.obs.ledger.recorded_run` that names no
+    workload, so neither it nor the syntheses below record anything;
+    when a ledger is active the harness appends one ``bench`` record
+    per benchmark row instead.
     """
     if budget not in BUDGETS:
         raise ValueError(f"unknown budget {budget!r}")
     knobs = BUDGETS[budget]
     repeats = knobs["repeats"]
 
-    with run_ledger.ledger_scope():
+    with run_ledger.recorded_run("bench"):
         report = {
             "budget": budget,
             "repeats": repeats,

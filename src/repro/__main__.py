@@ -67,7 +67,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-import time
 from typing import TYPE_CHECKING
 
 from .errors import HLSError
@@ -364,65 +363,35 @@ def cmd_trace(args: argparse.Namespace) -> int:
     return 0
 
 
-def _append_cli_record(kind: str, workload: str, started: float,
-                       metrics_before: dict | None = None,
-                       design=None, source_digest=None, options=None,
-                       **extra) -> None:
-    """One summary ledger record for a multi-run CLI command."""
-    from .obs import ledger
-
-    active = ledger.active_ledger()
-    if active is None:
-        return
-    active.append(ledger.build_record(
-        kind, workload,
-        design=design,
-        source_digest=source_digest,
-        options=options,
-        metrics_before=metrics_before,
-        wall_s=time.perf_counter() - started,
-        extra=extra,
-    ))
-
-
 def cmd_verify(args: argparse.Namespace) -> int:
-    from . import obs
     from .core import synthesize
     from .core.engine import source_digest
-    from .obs import ledger
+    from .obs.ledger import recorded_run
     from .verify import run_differential, verify_design
 
     source = _read_source(args.file)
-    started = time.perf_counter()
-    metrics_before = obs.metrics().snapshot()
-    with ledger.ledger_scope():
-        design = synthesize(source, args.procedure, _options(args))
+    options = _options(args)
+    with recorded_run("verify", options=options,
+                      source_digest=source_digest(source)) as run:
+        design = synthesize(source, args.procedure, options)
         report = verify_design(design)
         print(report.render())
         failed = not report.ok
         if args.differential:
             print()
-            diff = run_differential(source, options=_options(args))
+            diff = run_differential(source, options=options)
             print(diff.render())
             failed = failed or not diff.ok
-    _append_cli_record(
-        "verify", design.cdfg.name, started,
-        metrics_before=metrics_before,
-        design=design,
-        source_digest=source_digest(source),
-        options=_options(args),
-        ok=not failed,
-        differential=args.differential,
-    )
+        run.name(design.cdfg.name, design, ok=not failed,
+                 differential=args.differential)
     return 1 if failed else 0
 
 
 def cmd_lint(args: argparse.Namespace) -> int:
     import json
 
-    from . import obs
     from .analysis.lint import LintOptions, lint_source, sarif_document
-    from .obs import ledger
+    from .obs.ledger import recorded_run
     from .workloads import DIFFEQ_SOURCE, SQRT_SOURCE, fir_source
 
     options = LintOptions(
@@ -441,108 +410,86 @@ def cmd_lint(args: argparse.Namespace) -> int:
     if not sources:
         raise HLSError("nothing to lint: give a FILE or --workloads")
 
-    started = time.perf_counter()
-    metrics_before = obs.metrics().snapshot()
-    with ledger.ledger_scope():
+    with recorded_run("lint") as run:
         reports = [lint_source(source, options) for source in sources]
-    if args.format == "json":
-        payload = [report.to_dict() for report in reports]
-        print(json.dumps(payload[0] if len(payload) == 1 else payload,
-                         indent=2))
-    elif args.format == "sarif":
-        print(json.dumps(sarif_document(reports, uri=args.file),
-                         indent=2))
-    else:
-        print("\n\n".join(report.render() for report in reports))
-    exit_code = max(report.exit_code for report in reports)
-    rule_counts: dict[str, int] = {}
-    for report in reports:
-        for rule, count in report.rule_counts().items():
-            rule_counts[rule] = rule_counts.get(rule, 0) + count
-    _append_cli_record(
-        "lint", args.file or "workloads", started,
-        metrics_before=metrics_before,
-        exit_code=exit_code,
-        sources=len(sources),
-        findings=sum(len(report.diagnostics) for report in reports),
-        errors=sum(report.count("error") for report in reports),
-        rule_counts=dict(sorted(rule_counts.items())),
-    )
+        if args.format == "json":
+            payload = [report.to_dict() for report in reports]
+            print(json.dumps(payload[0] if len(payload) == 1 else payload,
+                             indent=2))
+        elif args.format == "sarif":
+            print(json.dumps(sarif_document(reports, uri=args.file),
+                             indent=2))
+        else:
+            print("\n\n".join(report.render() for report in reports))
+        exit_code = max(report.exit_code for report in reports)
+        rule_counts: dict[str, int] = {}
+        for report in reports:
+            for rule, count in report.rule_counts().items():
+                rule_counts[rule] = rule_counts.get(rule, 0) + count
+        run.name(
+            args.file or "workloads",
+            exit_code=exit_code,
+            sources=len(sources),
+            findings=sum(len(report.diagnostics) for report in reports),
+            errors=sum(report.count("error") for report in reports),
+            rule_counts=dict(sorted(rule_counts.items())),
+        )
     return exit_code
 
 
 def cmd_fuzz(args: argparse.Namespace) -> int:
-    from . import obs
-    from .obs import ledger
-
-    started = time.perf_counter()
-    metrics_before = obs.metrics().snapshot()
-    with ledger.ledger_scope():
-        exit_code = _run_fuzz(args)
-    _append_cli_record(
-        "fuzz", f"{args.mode}:{args.tier}", started,
-        metrics_before=metrics_before,
-        ok=exit_code == 0,
-        mode=args.mode,
-        tier=args.tier,
-        jobs=args.jobs,
-    )
-    return exit_code
-
-
-def _run_fuzz(args: argparse.Namespace) -> int:
+    from .obs.ledger import recorded_run
     from .verify import fuzz_corpus, minimize_corpus, replay_corpus
 
-    if args.mode == "replay":
-        if args.corpus is None:
-            raise HLSError("fuzz replay needs --corpus DIR")
-        report = replay_corpus(args.corpus, jobs=args.jobs,
-                               timeout_s=args.timeout)
+    with recorded_run("fuzz") as run:
+        if args.mode == "replay":
+            if args.corpus is None:
+                raise HLSError("fuzz replay needs --corpus DIR")
+            report = replay_corpus(args.corpus, jobs=args.jobs,
+                                   timeout_s=args.timeout)
+            exit_code = 0 if report.ok else 1
+        elif args.mode == "minimize":
+            if args.corpus is None:
+                raise HLSError("fuzz minimize needs --corpus DIR")
+            report = minimize_corpus(args.corpus, jobs=args.jobs,
+                                     timeout_s=args.timeout)
+            exit_code = 0
+        else:
+            seeds = None
+            if args.seed is not None:
+                seeds = [args.seed]
+            elif args.seeds is not None:
+                seeds = list(range(1, args.seeds + 1))
+            budget = args.budget
+            if budget is None and seeds is not None:
+                budget = 0
+            report = fuzz_corpus(
+                args.corpus,
+                tier=args.tier,
+                budget=budget,
+                seeds=seeds,
+                master_seed=args.master_seed,
+                jobs=args.jobs,
+                ops=args.ops,
+                inputs=args.inputs,
+                artifacts_dir=args.artifacts,
+                shrink=not args.no_shrink,
+                timeout_s=args.timeout,
+            )
+            exit_code = 0 if report.ok else 1
         print(report.render())
-        return 1 if not report.ok else 0
-
-    if args.mode == "minimize":
-        if args.corpus is None:
-            raise HLSError("fuzz minimize needs --corpus DIR")
-        print(minimize_corpus(args.corpus, jobs=args.jobs,
-                              timeout_s=args.timeout).render())
-        return 0
-
-    seeds = None
-    if args.seed is not None:
-        seeds = [args.seed]
-    elif args.seeds is not None:
-        seeds = list(range(1, args.seeds + 1))
-    budget = args.budget
-    if budget is None and seeds is not None:
-        budget = 0
-    report = fuzz_corpus(
-        args.corpus,
-        tier=args.tier,
-        budget=budget,
-        seeds=seeds,
-        master_seed=args.master_seed,
-        jobs=args.jobs,
-        ops=args.ops,
-        inputs=args.inputs,
-        artifacts_dir=args.artifacts,
-        shrink=not args.no_shrink,
-        timeout_s=args.timeout,
-    )
-    print(report.render())
-    return 1 if not report.ok else 0
+        run.name(f"{args.mode}:{args.tier}", ok=exit_code == 0,
+                 mode=args.mode, tier=args.tier, jobs=args.jobs)
+    return exit_code
 
 
 def cmd_cache(args: argparse.Namespace) -> int:
     import json
 
     from .core import clear_synthesis_cache
-    from .store import DesignStore, active_store, default_store_dir
+    from .store import STORE_ACTIVATION
 
-    if args.dir is not None:
-        store = DesignStore(args.dir)
-    else:
-        store = active_store() or DesignStore(default_store_dir())
+    store = STORE_ACTIVATION.resolve(args.dir)
 
     if args.verb == "stats":
         stats = store.stats()
@@ -582,20 +529,12 @@ def cmd_cache(args: argparse.Namespace) -> int:
     return 0
 
 
-def _resolve_ledger(args: argparse.Namespace):
-    """The ledger a read-only verb operates on: ``--ledger DIR``, else
-    the active one, else the default directory."""
-    from .obs.ledger import RunLedger, active_ledger, default_ledger_dir
-
-    if args.ledger:
-        return RunLedger(args.ledger)
-    return active_ledger() or RunLedger(default_ledger_dir())
-
-
 def cmd_history(args: argparse.Namespace) -> int:
     import json
 
-    ledger = _resolve_ledger(args)
+    from .obs.ledger import LEDGER_ACTIVATION
+
+    ledger = LEDGER_ACTIVATION.resolve(args.ledger)
     records = ledger.records()
     if args.workload is not None:
         records = [r for r in records if r.workload == args.workload]
@@ -633,6 +572,7 @@ def _qor_cell(value) -> str:
 def cmd_report(args: argparse.Namespace) -> int:
     import json
 
+    from .obs.ledger import LEDGER_ACTIVATION
     from .obs.regression import compare, parse_threshold
 
     thresholds = {}
@@ -643,7 +583,7 @@ def cmd_report(args: argparse.Namespace) -> int:
             raise HLSError(str(error))
         thresholds[family] = threshold
 
-    ledger = _resolve_ledger(args)
+    ledger = LEDGER_ACTIVATION.resolve(args.ledger)
     report = compare(
         ledger.records(),
         window=args.window,

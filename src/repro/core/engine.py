@@ -37,8 +37,6 @@ from ..obs import (
     metrics,
     pow2_bucket,
     trace_span,
-    tracer,
-    tracing_enabled,
 )
 from ..scheduling import (
     ASAPScheduler,
@@ -320,11 +318,16 @@ def lookup_design(digest: str, procedure: str | None,
 
 def record_design(digest: str, procedure: str | None,
                   options: SynthesisOptions,
-                  design: SynthesizedDesign) -> None:
+                  design: SynthesizedDesign,
+                  persist: bool = True) -> None:
     """Insert a design into both cache tiers (store tier only when one
-    is active and the options are stably keyable)."""
+    is active and the options are stably keyable).  ``persist=False``
+    fills the memory tier only: a pool worker that built the design
+    has written the store tier already."""
     _SYNTHESIS_CACHE.put((digest, procedure, options.cache_key()),
                          design)
+    if not persist:
+        return
     store, store_key_ = _store_tier(digest, procedure, options)
     if store is not None:
         store.put(store_key_, design, fault_spec=options.fault_spec)
@@ -631,21 +634,6 @@ def _synthesize_cdfg(cdfg: CDFG, options: SynthesisOptions,
     return design
 
 
-def _ledger_tier():
-    """The :mod:`repro.obs.ledger` module iff this run should append a
-    record, else None.
-
-    Imported lazily for the same reason as :func:`_store_tier`, and
-    None whenever no ledger is active or a multi-run driver (a DSE
-    sweep, the fuzzer) has claimed the record via ``ledger_scope()``.
-    """
-    from ..obs import ledger
-
-    if ledger.active_ledger() is None or ledger.in_ledger_scope():
-        return None
-    return ledger
-
-
 def synthesize(source: str, procedure: str | None = None,
                options: SynthesisOptions | None = None,
                use_cache: bool = False,
@@ -664,29 +652,28 @@ def synthesize(source: str, procedure: str | None = None,
             :mod:`repro.store` tier when one is active.  Cached
             designs are shared objects — callers must not mutate them.
 
-    When a run ledger is active (:func:`repro.obs.ledger.active_ledger`)
-    and no enclosing driver holds a ``ledger_scope()``, exactly one
+    The call is one :func:`repro.obs.ledger.recorded_run`: when a run
+    ledger is active and no enclosing run is open, exactly one ``synth``
     :class:`~repro.obs.ledger.RunRecord` is appended per call — cache
     hits included (they are runs too; ``extra.cached`` marks them).
     """
+    from ..obs.ledger import recorded_run
+
     if options is None:
         options = SynthesisOptions(**option_kwargs)
     elif option_kwargs:
         raise HLSError("pass either options or keyword options, not both")
-    ledger = _ledger_tier()
-    with maybe_tracing(options.trace), maybe_memory(options.memory):
-        metrics_before = metrics().snapshot() if ledger else None
-        span_base = len(tracer()) if ledger else 0
-        started = time.perf_counter()
+    with maybe_tracing(options.trace), maybe_memory(options.memory), \
+            recorded_run("synth", options=options) as run:
         cached = False
         with trace_span("synthesize", scheduler=options.scheduler,
                         allocator=options.allocator) as span:
-            digest: str | None = None
-            if use_cache or ledger is not None:
-                digest = source_digest(source)
+            if use_cache or run.claimed:
+                run.source_digest = source_digest(source)
             design: SynthesizedDesign | None = None
             if use_cache:
-                design = lookup_design(digest, procedure, options)
+                design = lookup_design(run.source_digest, procedure,
+                                       options)
                 if design is not None:
                     cached = True
                     span.set(cached=True)
@@ -696,25 +683,9 @@ def synthesize(source: str, procedure: str | None = None,
                 span.set(design=cdfg.name)
                 design = synthesize_cdfg(cdfg, options)
                 if use_cache:
-                    record_design(digest, procedure, options, design)
-        if ledger is not None:
-            span_records = (tracer().records(span_base)
-                            if tracing_enabled() else ())
-            record = ledger.build_record(
-                "synth", design.cdfg.name,
-                design=design,
-                source_digest=digest,
-                options=options,
-                metrics_before=metrics_before,
-                span_records=span_records,
-                wall_s=time.perf_counter() - started,
-                extra={
-                    "cached": cached,
-                    "scheduler": options.scheduler,
-                    "allocator": options.allocator,
-                },
-            )
-            ledger.active_ledger().append(
-                record, fault_spec=options.fault_spec
-            )
+                    record_design(run.source_digest, procedure, options,
+                                  design)
+        run.name(design.cdfg.name, design, cached=cached,
+                 scheduler=options.scheduler,
+                 allocator=options.allocator)
         return design

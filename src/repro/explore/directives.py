@@ -67,6 +67,7 @@ from ..ir.cdfg import (
     SeqRegion,
 )
 from ..obs import metrics, trace_span
+from ..obs.ledger import recorded_run
 from ..scheduling import ResourceConstraints, UniversalFUModel
 from ..transforms import IfConversion, LoopUnrolling, TreeHeightReduction
 from .dse import (
@@ -75,7 +76,7 @@ from .dse import (
     _compile_template,
     _map_points,
     _PointBuilder,
-    _recorded_sweep,
+    _sweep_telemetry,
 )
 
 #: Scheduler/allocator axes the default directive space sweeps.  Kept
@@ -177,6 +178,14 @@ class DirectiveExplorationResult(ExplorationResult):
     #: ``configs_pruned`` (their sum) and ``configs_evaluated`` (cells
     #: that ran the full pipeline).
     funnel: dict = field(default_factory=dict)
+    #: The config of each full-evaluation cell, in batch order.  A
+    #: failure's task label is the cell's bare limit (what fault
+    #: selectors match); its ``index`` finds the config here.
+    cell_configs: list = field(default_factory=list)
+
+    def failure_row(self, failure) -> str:
+        config = self.cell_configs[failure.index]
+        return f"{config.label()}: {failure.render()}"
 
     def ledger_extra(self) -> dict:
         f = self.funnel
@@ -367,9 +376,9 @@ def explore_directives(
     model = base.model or UniversalFUModel()
 
     result = DirectiveExplorationResult()
-    with _recorded_sweep("explore-directives", result, report,
-                         source_digest(source), base, resource_class,
-                         limits):
+    with recorded_run("explore-directives", options=base,
+                      source_digest=source_digest(source)) as run, \
+            _sweep_telemetry(result, report):
         with trace_span("dse.directives", configs=len(configs),
                         limits=len(limits)):
             result.funnel = _run_funnel(
@@ -377,6 +386,7 @@ def explore_directives(
                 n_jobs, use_cache, task_timeout_s, prune_margin,
                 ranking_trips, model, result,
             )
+        result.name_run(run, resource_class, limits)
     return result
 
 
@@ -508,6 +518,7 @@ def _run_funnel(source, limits, configs, resource_class, base, vectors,
                 template=templates[transforms],
                 measurements=measurements.setdefault(transforms, {}),
             )
+    result.cell_configs = [config for config, _, _ in kept]
     points, failures = _map_points(
         [(builders[config], limit) for config, _, limit in kept],
         n_jobs, task_timeout_s,

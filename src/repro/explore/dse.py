@@ -28,7 +28,8 @@ Exploration is built for "a reasonable amount of time":
   keyed by source digest and option knobs, so a constraint probed
   twice — across an :func:`explore_fu_range` sweep, a later
   :func:`search_for_latency`, or a whole new process — is never
-  rebuilt;
+  rebuilt; that holds for parallel sweeps too, whose workers write
+  the store tier and whose designs the parent puts in its LRU;
 * both entry points take ``n_jobs``: with more than one job, points
   fan out over a :class:`~repro.explore.parallel.ParallelExplorer`
   process pool, producing results identical to the serial path.
@@ -57,7 +58,7 @@ from ..estimation import estimate_area, estimate_timing
 from ..ir.cdfg import CDFG
 from ..lang import compile_source
 from ..obs import histogram_deltas, metrics, trace_span
-from ..obs import ledger as run_ledger
+from ..obs.ledger import RecordedRun, recorded_run
 from ..scheduling import ResourceConstraints
 from ..sim.equivalence import default_vectors
 from ..sim.rtl_sim import RTLSimulator
@@ -117,6 +118,28 @@ class ExplorationResult:
         """What this kind of sweep adds to its ledger record."""
         return {}
 
+    def failure_row(self, failure) -> str:
+        """The ``!`` line of one failed point in :meth:`table`."""
+        return failure.render()
+
+    def name_run(self, run: RecordedRun, resource_class: str,
+                 limits: list[int]) -> None:
+        """Name this sweep's ledger record when ``run`` claims one: the
+        QoR of the best-latency point, the trade-off curve and
+        :meth:`ledger_extra`.  A sweep with no point names nothing."""
+        if not (run.claimed and self.points):
+            return
+        best = min(self.points, key=lambda p: (p.latency_ns, p.area))
+        run.name(
+            best.design.cdfg.name, best.design,
+            resource_class=resource_class,
+            limits=limits,
+            **self.ledger_extra(),
+            pareto=len(self.pareto),
+            failures=len(self.failures),
+            points=[p.ledger_row() for p in self.points],
+        )
+
     @property
     def pareto(self) -> list[DesignPoint]:
         """The non-dominated points, in (area, latency, index) order.
@@ -155,7 +178,7 @@ class ExplorationResult:
             lines.append(f" {marker} {point.row()}")
         lines.append(" (* = Pareto-optimal)")
         for failure in self.failures:
-            lines.append(f" ! {failure.render()}")
+            lines.append(f" ! {self.failure_row(failure)}")
         if self.telemetry is not None:
             from ..obs import telemetry_summary
 
@@ -290,11 +313,21 @@ class _PointBuilder:
                 self.template().cdfg, count=4, assume=assume or None
             )
 
+    def point_options(self, limit: int) -> SynthesisOptions:
+        """The options, and so the cache key, of the point at ``limit``."""
+        return self.base.with_constraints({self.resource_class: limit})
+
+    def adopt(self, limit: int, design: SynthesizedDesign) -> None:
+        """Insert the design a pool worker built at ``limit`` into this
+        process's memory tier (the worker wrote the store tier), so a
+        later sweep here does not rebuild it."""
+        if self.use_cache:
+            record_design(self._digest, None, self.point_options(limit),
+                          design, persist=False)
+
     def _build(self, limit: int) -> DesignPoint:
         self.ensure_vectors()
-        point_options = self.base.with_constraints(
-            {self.resource_class: limit}
-        )
+        point_options = self.point_options(limit)
         design = None
         if self.use_cache:
             # Two-tier: the in-memory LRU, then the persistent store
@@ -371,61 +404,30 @@ def _map_points(cells: Sequence[tuple[_PointBuilder, int]],
 
 
 @contextmanager
-def _recorded_sweep(kind: str, result: ExplorationResult, report: bool,
-                    digest: str | None, options: SynthesisOptions,
-                    resource_class: str,
-                    limits: list[int]) -> Iterator[None]:
-    """Run a sweep's body as one exploration, then file its telemetry
-    and ledger record.
-
-    The body runs in a ledger scope, which claims the ledger record:
-    the many syntheses inside are one exploration, not N runs.  With
-    ``report``, ``result.telemetry`` gets the wall time and the counter
-    and histogram deltas of the body.  With an active ledger, one
-    ``kind`` record carries the QoR of the best-latency point, the
-    trade-off curve and :meth:`ExplorationResult.ledger_extra`.
-    """
-    ledger = (None if run_ledger.in_ledger_scope()
-              else run_ledger.active_ledger())
-    before = (metrics().snapshot()
-              if report or ledger is not None else None)
-    started = time.perf_counter()
-    with run_ledger.ledger_scope():
+def _sweep_telemetry(result: ExplorationResult,
+                     report: bool) -> Iterator[None]:
+    """With ``report``, file the wall time and the counter and
+    histogram deltas of the body in ``result.telemetry``."""
+    if not report:
         yield
+        return
+    before = metrics().snapshot()
+    started = time.perf_counter()
+    yield
     wall_s = time.perf_counter() - started
-    if report:
-        after = metrics().snapshot()
-        deltas = {
+    after = metrics().snapshot()
+    result.telemetry = {
+        "wall_s": wall_s,
+        "counters": {
             key: value - before["counters"].get(key, 0)
             for key, value in after["counters"].items()
             if value - before["counters"].get(key, 0) != 0
-        }
-        result.telemetry = {
-            "wall_s": wall_s,
-            "counters": deltas,
-            "histograms": {
-                key: hist.summary()
-                for key, hist in histogram_deltas(before, after).items()
-            },
-        }
-    if ledger is not None and result.points:
-        best = min(result.points, key=lambda p: (p.latency_ns, p.area))
-        ledger.append(run_ledger.build_record(
-            kind, best.design.cdfg.name,
-            design=best.design,
-            source_digest=digest,
-            options=options,
-            metrics_before=before,
-            wall_s=wall_s,
-            extra={
-                "resource_class": resource_class,
-                "limits": limits,
-                **result.ledger_extra(),
-                "pareto": len(result.pareto),
-                "failures": len(result.failures),
-                "points": [p.ledger_row() for p in result.points],
-            },
-        ))
+        },
+        "histograms": {
+            key: hist.summary()
+            for key, hist in histogram_deltas(before, after).items()
+        },
+    }
 
 
 def search_for_latency(
@@ -542,8 +544,9 @@ def explore_fu_range(
         source_or_factory, resource_class, options, vectors, use_cache
     )
     result = ExplorationResult()
-    with _recorded_sweep("explore", result, report, builder._digest,
-                         builder.base, resource_class, limits):
+    with recorded_run("explore", options=builder.base,
+                      source_digest=builder._digest) as run, \
+            _sweep_telemetry(result, report):
         with trace_span("dse.sweep", resource=resource_class,
                         points=len(limits)):
             points, failures = _map_points(
@@ -552,4 +555,5 @@ def explore_fu_range(
             )
             result.points.extend(p for p in points if p is not None)
             result.failures.extend(failures)
+        result.name_run(run, resource_class, limits)
     return result

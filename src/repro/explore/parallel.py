@@ -13,7 +13,8 @@ as the parent.  The rebuilt builder gets the worker's template for its
 source and template-shaping options (a per-process memo of the
 template's :class:`~repro.core.engine.ScheduleMemo`, compiled and
 transformed at most once per worker), and the worker shares the
-parent's design store.
+parent's design store.  The parent puts each design a worker built
+into its own memory tier, as the serial path would have.
 
 The pool is an optimization, never a correctness hazard.  Failure
 semantics (see ``docs/resilience.md``):
@@ -198,7 +199,7 @@ class ParallelExplorer:
 
         points: list[DesignPoint | None] = []
         failures: list[TaskFailure] = []
-        for outcome in batch.outcomes:
+        for (builder, limit), outcome in zip(cells, batch.outcomes):
             if outcome.failure is not None:
                 failures.append(outcome.failure)
                 points.append(None)
@@ -213,5 +214,6 @@ class ParallelExplorer:
                 metrics().merge(snapshot)
                 if spans and tracing_enabled():
                     tracer().merge(spans, parent=tracer().current_index())
+                builder.adopt(limit, point.design)
                 points.append(point)
         return points, failures

@@ -20,14 +20,16 @@ content address (a sha256 of its canonical JSON) and published with
 and a reader always sees whole records.  Corrupt or truncated segments
 are skipped (counted in ``ledger.corrupt``), never fatal.
 
-Like the store, the ledger is **off by default** and activates via
+Like the store, and by the same rule (:class:`repro.store.Activation`),
+the ledger is **off by default** and activates via
 :func:`configure_ledger` (the CLI's ``--ledger DIR``) or env
-``REPRO_LEDGER_DIR`` (``REPRO_LEDGER=0`` force-disables).  The engine
-appends one ``synth`` record per top-level :func:`repro.synthesize`
-call; multi-run drivers (DSE sweeps, the fuzzer, the linter, the perf
-harness) suppress those per-design records with :func:`ledger_scope`
-and append a single summary record of their own — so "one invocation,
-one record" holds at every granularity.
+``REPRO_LEDGER_DIR`` (``REPRO_LEDGER=0`` force-disables).  Every
+record is written by one :func:`recorded_run` block, and only the
+outermost open block writes one: a top-level :func:`repro.synthesize`
+call leaves one ``synth`` record, while a DSE sweep, a ``verify``,
+``lint`` or ``fuzz`` command leaves one summary record and none for
+the syntheses inside — so "one invocation, one record" holds at every
+granularity.
 """
 
 from __future__ import annotations
@@ -36,10 +38,18 @@ import hashlib
 import json
 import os
 import sys
+import time
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Iterable, Mapping
 
+from ..store import (
+    Activation,
+    atomic_write_bytes,
+    default_store_dir,
+    options_token,
+)
 from .metrics import metrics
+from .tracer import tracer, tracing_enabled
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..core.design import SynthesizedDesign
@@ -136,8 +146,6 @@ class RunLedger:
         swallowed — the ledger is telemetry and must never fail the
         run it observes.
         """
-        from ..store.atomic import atomic_write_bytes
-
         path = self._segment_path(record.run_id)
         if os.path.exists(path):
             metrics().counter("ledger.duplicates").inc()
@@ -197,103 +205,109 @@ class RunLedger:
 
 
 # ----------------------------------------------------------------------
-# Activation (explicit beats environment, mirroring repro.store)
+# Activation (the design store's rule)
 # ----------------------------------------------------------------------
-
-_EXPLICIT: RunLedger | None = None
-_EXPLICIT_SET = False
-_ENV_MEMO: tuple[str, RunLedger] | None = None
-
 
 def default_ledger_dir() -> str:
     """Where ``--ledger`` records runs absent an explicit directory."""
-    from ..store import default_store_dir
-
     return os.environ.get(LEDGER_DIR_ENV) or os.path.join(
         os.path.dirname(default_store_dir()), "ledger"
     )
 
 
-def configure_ledger(root: str | os.PathLike | None) -> RunLedger | None:
-    """Explicitly set the process-global ledger (None disables it).
-
-    Explicit configuration always wins over the environment —
-    ``configure_ledger(None)`` turns recording off even when
-    ``REPRO_LEDGER_DIR`` is set.
-    """
-    global _EXPLICIT, _EXPLICIT_SET
-    _EXPLICIT = RunLedger(root) if root is not None else None
-    _EXPLICIT_SET = True
-    return _EXPLICIT
-
-
-def reset_ledger() -> None:
-    """Forget any explicit configuration; fall back to the env."""
-    global _EXPLICIT, _EXPLICIT_SET, _ENV_MEMO
-    _EXPLICIT = None
-    _EXPLICIT_SET = False
-    _ENV_MEMO = None
-
-
-def active_ledger() -> RunLedger | None:
-    """The ledger in force for this process, or None."""
-    global _ENV_MEMO
-    if _EXPLICIT_SET:
-        return _EXPLICIT
-    if os.environ.get(LEDGER_ENV, "").strip().lower() in (
-        "0", "off", "false", "no",
-    ):
-        return None
-    root = os.environ.get(LEDGER_DIR_ENV)
-    if not root:
-        return None
-    if _ENV_MEMO is None or _ENV_MEMO[0] != root:
-        _ENV_MEMO = (root, RunLedger(root))
-    return _ENV_MEMO[1]
+#: The process-global ledger (:class:`repro.store.Activation`):
+#: ``configure_ledger`` / ``reset_ledger`` / ``active_ledger`` are its
+#: methods.
+LEDGER_ACTIVATION = Activation(RunLedger, LEDGER_DIR_ENV, LEDGER_ENV,
+                               default_ledger_dir)
+configure_ledger = LEDGER_ACTIVATION.configure
+reset_ledger = LEDGER_ACTIVATION.reset
+active_ledger = LEDGER_ACTIVATION.active
 
 
 # ----------------------------------------------------------------------
-# Scope suppression: one invocation, one record
+# Recorded runs: one invocation, one record
 # ----------------------------------------------------------------------
 
-_SCOPE_DEPTH = 0
+#: Recorded runs open in this process; only the outermost may claim.
+_OPEN_RUNS = 0
 
 
-class _LedgerScope:
-    """Reentrant depth counter suppressing engine-level auto-records.
+class RecordedRun:
+    """The ``with`` block of :func:`recorded_run`.
 
-    A DSE sweep runs hundreds of syntheses; the fuzzer thousands.
-    Those drivers open a scope, synthesize freely (no per-design
-    records), and append one summary record themselves on exit.
+    ``claimed`` tells the body whether this run writes the record.  The
+    body names what the record holds with :meth:`name`; a body that
+    digests its source only when it must may set ``source_digest``.
     """
 
-    __slots__ = ()
+    def __init__(self, kind: str, options: "SynthesisOptions | None",
+                 source_digest: str | None) -> None:
+        self.kind = kind
+        self.options = options
+        self.source_digest = source_digest
+        self.workload: str | None = None
+        self.design: "SynthesizedDesign | None" = None
+        self.extra: dict = {}
+        self._ledger: RunLedger | None = None
 
-    def __enter__(self) -> None:
-        global _SCOPE_DEPTH
-        _SCOPE_DEPTH += 1
-        return None
+    @property
+    def claimed(self) -> bool:
+        return self._ledger is not None
 
-    def __exit__(self, *exc) -> bool:
-        global _SCOPE_DEPTH
-        _SCOPE_DEPTH = max(0, _SCOPE_DEPTH - 1)
+    def name(self, workload: str,
+             design: "SynthesizedDesign | None" = None,
+             **extra) -> None:
+        """The record's workload, the design whose QoR it carries and
+        its ``extra`` fields."""
+        self.workload, self.design, self.extra = workload, design, extra
+
+    def __enter__(self) -> "RecordedRun":
+        global _OPEN_RUNS
+        if _OPEN_RUNS == 0:
+            self._ledger = active_ledger()
+            if self._ledger is not None:
+                self._before = metrics().snapshot()
+                self._span_base = len(tracer())
+                self._started = time.perf_counter()
+        _OPEN_RUNS += 1
+        return self
+
+    def __exit__(self, exc_type, *exc) -> bool:
+        global _OPEN_RUNS
+        _OPEN_RUNS -= 1
+        if self._ledger is not None and exc_type is None \
+                and self.workload is not None:
+            wall_s = time.perf_counter() - self._started
+            spans = (tracer().records(self._span_base)
+                     if tracing_enabled() else None)
+            record = build_record(
+                self.kind, self.workload, design=self.design,
+                source_digest=self.source_digest, options=self.options,
+                metrics_before=self._before, span_records=spans,
+                wall_s=wall_s, extra=self.extra,
+            )
+            self._ledger.append(record, fault_spec=(
+                self.options.fault_spec if self.options else None))
         return False
 
 
-def ledger_scope() -> _LedgerScope:
-    """Suppress automatic per-synthesis records for a ``with`` block."""
-    return _LedgerScope()
+def recorded_run(kind: str, *,
+                 options: "SynthesisOptions | None" = None,
+                 source_digest: str | None = None) -> RecordedRun:
+    """A ``with`` block that is one run of the ledger.
 
-
-def in_ledger_scope() -> bool:
-    """Is a multi-run driver currently claiming the record?"""
-    return _SCOPE_DEPTH > 0
-
-
-def reset_ledger_scope() -> None:
-    """Zero the scope depth (test isolation)."""
-    global _SCOPE_DEPTH
-    _SCOPE_DEPTH = 0
+    When a ledger is active, the outermost open run claims the record;
+    the runs nested in it (a sweep's syntheses, the fuzzer's cases)
+    claim nothing, so one invocation leaves one record.  On a clean
+    exit, a claiming run whose body named a workload appends one
+    ``kind`` record: the named design's QoR, the metrics delta since
+    entry, the span breakdown when tracing was on, the wall time and
+    the named ``extra``, under ``options.fault_spec``.  A body that
+    raised or named no workload appends nothing, and a run that claims
+    nothing takes no snapshot.
+    """
+    return RecordedRun(kind, options, source_digest)
 
 
 # ----------------------------------------------------------------------
@@ -329,8 +343,6 @@ def environment_fingerprint(source_digest: str | None = None,
     if source_digest is not None:
         env["source_digest"] = source_digest
     if options is not None:
-        from ..store.keys import options_token
-
         token = options_token(options)
         env["options"] = repr(token) if token is not None else None
     return env

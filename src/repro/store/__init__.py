@@ -32,9 +32,58 @@ from .store import DEFAULT_TMP_GRACE_S, DesignStore
 STORE_DIR_ENV = "REPRO_STORE_DIR"
 STORE_ENV = "REPRO_STORE"
 
-_EXPLICIT: DesignStore | None = None
-_EXPLICIT_SET = False
-_ENV_MEMO: tuple[str, DesignStore] | None = None
+
+class Activation:
+    """Which instance of an optional on-disk tier (this store, the run
+    ledger of :mod:`repro.obs.ledger`) the process uses.
+
+    An explicit :meth:`configure` beats the environment — None turns
+    the tier off even when ``dir_env`` is set.  Otherwise env
+    ``dir_env`` names the directory (one instance per directory) unless
+    ``kill_env`` is ``0``/``off``/``false``/``no``.
+    """
+
+    def __init__(self, factory, dir_env: str, kill_env: str,
+                 default_dir) -> None:
+        self._factory = factory
+        self._dir_env = dir_env
+        self._kill_env = kill_env
+        self._default_dir = default_dir
+        self.reset()
+
+    def configure(self, root: str | os.PathLike | None):
+        """Set the tier explicitly (None disables it); returns it."""
+        self._explicit = self._factory(root) if root is not None else None
+        self._explicit_set = True
+        return self._explicit
+
+    def reset(self) -> None:
+        """Forget any explicit configuration; fall back to the env."""
+        self._explicit = None
+        self._explicit_set = False
+        self._env_memo = None
+
+    def active(self):
+        """The instance in force for this process, or None."""
+        if self._explicit_set:
+            return self._explicit
+        if os.environ.get(self._kill_env, "").strip().lower() in (
+            "0", "off", "false", "no",
+        ):
+            return None
+        root = os.environ.get(self._dir_env)
+        if not root:
+            return None
+        if self._env_memo is None or self._env_memo[0] != root:
+            self._env_memo = (root, self._factory(root))
+        return self._env_memo[1]
+
+    def resolve(self, root: str | None = None):
+        """What a maintenance verb operates on: ``root``, else the
+        active instance, else the default directory's."""
+        if root:
+            return self._factory(root)
+        return self.active() or self._factory(self._default_dir())
 
 
 def default_store_dir() -> str:
@@ -44,50 +93,23 @@ def default_store_dir() -> str:
     )
 
 
-def configure_store(root: str | os.PathLike | None) -> DesignStore | None:
-    """Explicitly set the process-global store (None disables it).
-
-    An explicit configuration always wins over the environment — in
-    particular ``configure_store(None)`` turns the store off even when
-    ``REPRO_STORE_DIR`` is set (the CLI's ``--no-store``).
-    """
-    global _EXPLICIT, _EXPLICIT_SET
-    _EXPLICIT = DesignStore(root) if root is not None else None
-    _EXPLICIT_SET = True
-    return _EXPLICIT
-
-
-def reset_store() -> None:
-    """Forget any explicit configuration; fall back to the env."""
-    global _EXPLICIT, _EXPLICIT_SET, _ENV_MEMO
-    _EXPLICIT = None
-    _EXPLICIT_SET = False
-    _ENV_MEMO = None
-
-
-def active_store() -> DesignStore | None:
-    """The store in force for this process, or None."""
-    global _ENV_MEMO
-    if _EXPLICIT_SET:
-        return _EXPLICIT
-    if os.environ.get(STORE_ENV, "").strip().lower() in (
-        "0", "off", "false", "no",
-    ):
-        return None
-    root = os.environ.get(STORE_DIR_ENV)
-    if not root:
-        return None
-    if _ENV_MEMO is None or _ENV_MEMO[0] != root:
-        _ENV_MEMO = (root, DesignStore(root))
-    return _ENV_MEMO[1]
+#: The process-global store: ``configure_store`` / ``reset_store`` /
+#: ``active_store`` are its methods.
+STORE_ACTIVATION = Activation(DesignStore, STORE_DIR_ENV, STORE_ENV,
+                              default_store_dir)
+configure_store = STORE_ACTIVATION.configure
+reset_store = STORE_ACTIVATION.reset
+active_store = STORE_ACTIVATION.active
 
 
 __all__ = [
     "DEFAULT_TMP_GRACE_S",
+    "STORE_ACTIVATION",
     "STORE_DIR_ENV",
     "STORE_ENV",
     "STORE_SCHEMA_VERSION",
     "TMP_PREFIX",
+    "Activation",
     "DesignStore",
     "active_store",
     "atomic_write_bytes",

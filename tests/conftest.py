@@ -84,16 +84,14 @@ def _no_run_ledger(monkeypatch):
     must not make every synthesized design append a run record; tests
     that want the ledger opt in via ``configure_ledger``.
     """
-    from repro.obs.ledger import reset_ledger, reset_ledger_scope
+    from repro.obs.ledger import reset_ledger
 
     monkeypatch.delenv("REPRO_LEDGER_DIR", raising=False)
     monkeypatch.delenv("REPRO_LEDGER", raising=False)
     monkeypatch.delenv("REPRO_MEM", raising=False)
     reset_ledger()
-    reset_ledger_scope()
     yield
     reset_ledger()
-    reset_ledger_scope()
 
 
 @pytest.fixture

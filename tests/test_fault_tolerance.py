@@ -17,12 +17,19 @@ from repro.core import SynthesisOptions, clear_synthesis_cache
 from repro.errors import TaskExecutionError
 from repro.explore import (
     ParallelExplorer,
+    default_directive_space,
+    explore_directives,
     explore_fu_range,
     search_for_latency,
 )
 from repro.explore.dse import _PointBuilder
 from repro.verify import CorpusCase, fuzz_corpus
-from repro.workloads import SQRT_SOURCE, RandomDFGSpec, dfg_recipe
+from repro.workloads import (
+    DIFFEQ_SOURCE,
+    SQRT_SOURCE,
+    RandomDFGSpec,
+    dfg_recipe,
+)
 
 pytestmark = pytest.mark.fault_smoke
 
@@ -110,6 +117,24 @@ class TestExploreFaultTolerance:
         assert got["dse.measurements.run"] == 7
         assert got["dse.points.evaluated"] == 7
         assert got.get("exec.tasks.retried", 0) == 0
+
+    def test_directive_failure_lines_name_their_config(self):
+        """A directive sweep labels every config's cell by its bare
+        limit, which is what fault selectors match, so each ``!`` line
+        of the table names the config that failed."""
+        options = SynthesisOptions(fault_spec="error:2")
+        result = explore_directives(DIFFEQ_SOURCE, [1, 2, 3],
+                                    options=options, n_jobs=2,
+                                    use_cache=False)
+        assert [f.label for f in result.failures] == ["2"] * 4
+        lines = [line for line in result.table().splitlines()
+                 if line.startswith(" ! ")]
+        assert len(set(lines)) == len(lines) == 4
+        labels = {config.label() for config in default_directive_space()}
+        for line, failure in zip(lines, result.failures):
+            label = result.cell_configs[failure.index].label()
+            assert label in labels
+            assert line == f" ! {label}: {failure.render()}"
 
     def test_parallel_counters_match_serial_for_healthy_points(self):
         serial = {}

@@ -3,9 +3,10 @@
 Covers the record format (content-addressed, round-trippable), the
 segment store (idempotent appends, corrupt-segment skip, concurrent
 writers from two ``repro.exec`` processes), the engine integration
-(exactly one record per synthesis invocation, scope suppression), the
-regression comparator (injected latency regression fails, identical
-re-run passes), and the ``history``/``report`` CLI verbs.
+(exactly one record per synthesis invocation, none inside an enclosing
+recorded run), the regression comparator (injected latency regression
+fails, identical re-run passes), one record per ledger-writing CLI
+verb, and the ``history``/``report`` CLI verbs.
 """
 
 import json
@@ -21,7 +22,7 @@ from repro.obs.ledger import (
     RunRecord,
     build_record,
     configure_ledger,
-    ledger_scope,
+    recorded_run,
 )
 from repro.obs.regression import (
     Threshold,
@@ -168,11 +169,24 @@ class TestEngineIntegration:
 
     def test_ledger_scope_suppresses_engine_records(self, tmp_path):
         ledger = configure_ledger(tmp_path / "ledger")
-        with ledger_scope():
-            synthesize(SQRT_SOURCE,
-                       options=SynthesisOptions(**self.OPTIONS))
+        options = SynthesisOptions(**self.OPTIONS)
+        # An enclosing run claims the record: the synthesis inside
+        # writes none, and a run that names no workload writes none.
+        with recorded_run("sweep") as outer:
+            assert outer.claimed
+            synthesize(SQRT_SOURCE, options=options)
         assert len(ledger.records()) == 0
-        assert not run_ledger.in_ledger_scope()
+        # No run is left open afterwards: the next top-level run claims.
+        with recorded_run("sweep") as run:
+            assert run.claimed
+        # A body that raises appends nothing and leaves no run open.
+        with pytest.raises(RuntimeError):
+            with recorded_run("sweep") as run:
+                run.name("sqrt")
+                raise RuntimeError("body failed")
+        assert len(ledger.records()) == 0
+        synthesize(SQRT_SOURCE, options=options)
+        assert [r.kind for r in ledger.records()] == ["synth"]
 
     def test_no_ledger_no_records(self, tmp_path):
         configure_ledger(None)
@@ -431,6 +445,51 @@ class TestLedgerCLI:
         assert main(["history", "--ledger", ledger_dir,
                      "--limit", "0", "--format", "json"]) == 0
         assert json.loads(capsys.readouterr().out) == []
+
+    SYNTH_KEYS = {"allocator", "cached", "scheduler"}
+    EXPLORE_KEYS = {"failures", "limits", "pareto", "points",
+                    "resource_class"}
+
+    @pytest.mark.parametrize("verb, arguments, kind, workload, keys", [
+        ("synth", ["--fu", "2"], "synth", "sqrt", SYNTH_KEYS),
+        ("simulate", ["X=0.5", "--fu", "2"], "synth", "sqrt", SYNTH_KEYS),
+        ("profile", ["--fu", "2"], "synth", "sqrt", SYNTH_KEYS),
+        ("trace", [], "synth", "sqrt", SYNTH_KEYS),
+        ("explore", ["--limits", "1,2"], "explore", "sqrt", EXPLORE_KEYS),
+        ("explore", ["--directives", "--limits", "1,2"],
+         "explore-directives", "sqrt",
+         EXPLORE_KEYS | {"configs", "configs_evaluated", "configs_pruned",
+                         "exhaustive", "funnel"}),
+        ("verify", [], "verify", "sqrt", {"differential", "ok"}),
+        ("lint", [], "lint", None,
+         {"errors", "exit_code", "findings", "rule_counts", "sources"}),
+        ("fuzz", ["--seeds", "1", "--ops", "6"], "fuzz", "run:standard",
+         {"jobs", "mode", "ok", "tier"}),
+    ], ids=["synth", "simulate", "profile", "trace", "explore",
+            "explore-directives", "verify", "lint", "fuzz"])
+    def test_each_verb_appends_one_record(self, verb, arguments, kind,
+                                          workload, keys, sqrt_file,
+                                          tmp_path, capsys):
+        ledger_dir = str(tmp_path / "ledger")
+        if verb == "fuzz":
+            arguments = arguments + ["--artifacts",
+                                     str(tmp_path / "artifacts")]
+        else:
+            arguments = [sqrt_file] + arguments
+        if verb == "trace":
+            arguments = arguments + ["--out", str(tmp_path / "t.json")]
+        assert main([verb, *arguments, "--ledger", ledger_dir]) == 0
+        capsys.readouterr()
+
+        (record,) = RunLedger(ledger_dir).records()
+        assert record.kind == kind
+        assert record.workload == (workload or sqrt_file)
+        assert set(record.extra) == keys
+        # Only the verbs that synthesize one named source carry its QoR
+        # and digest; the linter and the fuzzer summarize many designs.
+        summarizes = kind in ("lint", "fuzz")
+        assert bool(record.qor) is not summarizes
+        assert ("source_digest" in record.env) is not summarizes
 
     def test_report_empty_ledger_is_clean(self, tmp_path, capsys):
         assert main(["report", "--ledger",

@@ -75,6 +75,19 @@ def test_parallel_sweeps_share_the_parent_store(tmp_path):
     assert rows(warm.points) == rows(serial.points)
 
 
+def test_parallel_sweeps_fill_the_parent_memory_tier():
+    """Designs the workers built land in the parent's memory tier, as
+    the serial path's do: with no store, a serial sweep after a
+    parallel one rebuilds nothing."""
+    jobbed = explore_fu_range(SQRT_SOURCE, LIMITS, n_jobs=2)
+    obs.reset_metrics()
+    serial = explore_fu_range(SQRT_SOURCE, LIMITS)
+    got = obs.metrics().counters()
+    assert got.get("cache.hits", 0) == len(LIMITS)
+    assert got.get("cache.misses", 0) == 0
+    assert rows(serial.points) == rows(jobbed.points)
+
+
 def test_worker_templates_are_bound_to_their_model(monkeypatch):
     """A worker task reuses an earlier task's template, and with it the
     schedule problems in its memo, only under the same resource model:
